@@ -234,12 +234,32 @@ func (s *System) StampAt(sFreq complex128) (*numeric.Matrix, []complex128, error
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, e := range s.circ.elements {
-		if err := e.Stamp(st); err != nil {
-			return nil, nil, err
-		}
+	if err := s.stampAll(st); err != nil {
+		return nil, nil, err
 	}
 	return st.A, st.B, nil
+}
+
+// StampEntries is StampAt in triplet mode: the MNA matrix comes back as
+// the unmerged list of element contributions appended to dst (O(nnz)
+// memory instead of O(n²); pass a reused or presized dst to avoid growth
+// churn), the RHS as a dense vector.
+func (s *System) StampEntries(sFreq complex128, dst []Entry) ([]Entry, []complex128, error) {
+	st := &Stamp{Entries: dst, B: make([]complex128, s.size), S: sFreq, nodeOf: s.nodeOf, auxOf: s.auxOf}
+	if err := s.stampAll(st); err != nil {
+		return nil, nil, err
+	}
+	return st.Entries, st.B, nil
+}
+
+// stampAll runs every element's Stamp into st.
+func (s *System) stampAll(st *Stamp) error {
+	for _, e := range s.circ.elements {
+		if err := e.Stamp(st); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Validate checks structural sanity: every non-ground node must be

@@ -22,8 +22,13 @@ const GroundName = "0"
 // controlled voltage sources, opamp outputs). Ground maps to index -1 and
 // all its stamps are dropped.
 type Stamp struct {
-	// A is the (n+aux)×(n+aux) complex MNA matrix.
+	// A is the (n+aux)×(n+aux) complex MNA matrix. When A is nil the
+	// stamp runs in triplet mode: AddA appends to Entries instead.
 	A *numeric.Matrix
+	// Entries collects the AddA contributions of a triplet-mode stamp in
+	// call order, unmerged: an (i, j) position stamped twice appears
+	// twice and its value is the sum.
+	Entries []Entry
 	// B is the right-hand side (source) vector.
 	B []complex128
 	// S is the complex frequency, jω for AC analysis.
@@ -51,9 +56,20 @@ func (st *Stamp) AuxIndex(elem string) (int, bool) {
 	return i, ok
 }
 
-// AddA accumulates v into A[i][j], silently dropping ground (-1) indices.
+// Entry is one A-matrix contribution of a triplet-mode Stamp.
+type Entry struct {
+	I, J int
+	V    complex128
+}
+
+// AddA accumulates v into A[i][j] (or, in triplet mode, records it),
+// silently dropping ground (-1) indices.
 func (st *Stamp) AddA(i, j int, v complex128) {
 	if i < 0 || j < 0 {
+		return
+	}
+	if st.A == nil {
+		st.Entries = append(st.Entries, Entry{i, j, v})
 		return
 	}
 	st.A.Add(i, j, v)

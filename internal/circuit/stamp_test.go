@@ -301,3 +301,55 @@ func TestInductorACBehaviour(t *testing.T) {
 		t.Fatalf("|V_L|² = %g, want %g", mag, want)
 	}
 }
+
+// TestStampEntriesMatchesStampAt pins triplet mode against the dense
+// stamp: summing StampEntries' unmerged contributions per position
+// reproduces StampAt's matrix exactly, with the same RHS, on a circuit
+// holding every element type; dst is appended to, not replaced.
+func TestStampEntriesMatchesStampAt(t *testing.T) {
+	c := New("every-element")
+	c.MustAdd(NewVSource("V1", "in", "0", 1))
+	c.MustAdd(NewISource("I1", "in", "m", 2e-3))
+	c.MustAdd(NewResistor("R1", "in", "m", 1000))
+	c.MustAdd(NewCapacitor("C1", "m", "0", 1e-6))
+	c.MustAdd(NewInductor("L1", "m", "e", 1e-3))
+	c.MustAdd(NewVCVS("E1", "e", "0", "in", "m", 2))
+	c.MustAdd(NewVCCS("G1", "g", "0", "in", "0", 3e-3))
+	c.MustAdd(NewResistor("Rg", "g", "0", 1000))
+	c.MustAdd(NewCCVS("H1", "h", "0", "V1", 2000))
+	c.MustAdd(NewResistor("Rh", "h", "0", 50))
+	c.MustAdd(NewCCCS("F1", "f", "0", "V1", 4))
+	c.MustAdd(NewResistor("Rf", "f", "0", 500))
+	c.MustAdd(NewIdealOpAmp("U1", "in", "u", "u"))
+	c.MustAdd(NewResistor("Ru", "u", "0", 50))
+	sys, err := c.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []complex128{0, 1i, 2.5e3i} {
+		a, b, err := sys.StampAt(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []Entry{{I: -7}}
+		entries, eb, err := sys.StampEntries(s, prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) < 2 || entries[0].I != -7 {
+			t.Fatalf("s=%v: StampEntries did not append to dst", s)
+		}
+		sum := numeric.NewMatrix(sys.Size(), sys.Size())
+		for _, e := range entries[1:] {
+			sum.Add(e.I, e.J, e.V)
+		}
+		if !sum.Equalish(a, 0) {
+			t.Fatalf("s=%v: merged triplets differ from StampAt", s)
+		}
+		for i := range b {
+			if eb[i] != b[i] {
+				t.Fatalf("s=%v: RHS[%d] = %v, StampAt %v", s, i, eb[i], b[i])
+			}
+		}
+	}
+}

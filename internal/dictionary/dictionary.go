@@ -144,13 +144,14 @@ func (d *Dictionary) ScalarResponse(f fault.Fault, omega float64) (float64, erro
 // Response returns |H(jω)| for the given fault (use the zero Fault for
 // the golden circuit). Results are memoized up to MemoLimit pairs.
 //
-// Lazy queries solve the faulted system exactly (full factorization of
-// the patched template); BuildGrid fills the same memo through the
-// batched Sherman–Morrison path. The two agree to within 1e-9 relative
-// error (enforced by the engine's fallback guards and tests), so a memo
-// entry may differ in its last few ulps depending on which path computed
-// it first — callers comparing exports bit-for-bit should produce them
-// through the same call sequence.
+// Lazy queries solve the patched system exactly (Engine.ResponseSet: a
+// sparse refactorization on the compiled pattern for sparse engines,
+// dense LU otherwise); BuildGrid fills the same memo through the batched
+// Sherman–Morrison path. The two are different arithmetic that agree to
+// within 1e-9 relative error (enforced by the engine's fallback guards
+// and tests), so a memo entry's last few ulps depend on which of the two
+// computed it first — callers comparing exports bit-for-bit should
+// produce them through the same call sequence.
 func (d *Dictionary) Response(f fault.Fault, omega float64) (float64, error) {
 	return d.ResponseSet(f, omega)
 }
@@ -239,26 +240,29 @@ func (d *Dictionary) SignatureSet(set fault.Set, omegas []float64) ([]float64, e
 // CircuitSignature computes the signature point of an arbitrary circuit
 // variant — a multiple fault, a tolerance-perturbed board, anything with
 // the same source and output — against this dictionary's golden
-// response. Unlike Signature it is not memoized (variants are one-off).
+// response. The variant is compiled into its own engine (see
+// engine.Engine.Variant: a value-only variant shares the golden
+// symbolic analysis) and solved exactly per frequency. Unlike Signature
+// it is not memoized (variants are one-off).
 func (d *Dictionary) CircuitSignature(c *circuit.Circuit, omegas []float64) ([]float64, error) {
 	if len(omegas) == 0 {
 		return nil, fmt.Errorf("dictionary: empty test vector")
 	}
-	ac, err := analysis.NewAC(c)
+	v, err := d.eng.Variant(c)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dictionary: variant: %w", err)
 	}
 	out := make([]float64, len(omegas))
 	for i, w := range omegas {
-		h, err := ac.Transfer(d.source, d.output, w)
+		h, err := v.GoldenResponse(w)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dictionary: variant: %w", err)
 		}
 		gm, err := d.GoldenResponse(w)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = cmplx.Abs(h) - gm
+		out[i] = h - gm
 	}
 	return out, nil
 }

@@ -137,7 +137,9 @@ func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int) {
 		return
 	}
 	t := e.tmpl
+	lnnz := t.sparse.sym.LUNNZ()
 	for x := 0; x < numeric.FreqBlock; x++ {
+		ws.spreBlk[x], ws.spimBlk[x] = growPlanes(ws.spreBlk[x], ws.spimBlk[x], lnnz)
 		t.stampGoldenSparse(ws.spreBlk[x], ws.spimBlk[x], complex(0, omegas[g+x]))
 	}
 	ws.grpErr = ws.bref.RefactorBlock(t.sparse.sym, &ws.slusBlk, &ws.spreBlk, &ws.spimBlk)
@@ -178,6 +180,7 @@ func (e *Engine) solveColumnBlocked(ws *workspace, omega float64, faults []fault
 			ws.cDenseSingular++
 		}
 	} else if e.sparseColumn() {
+		ws.spre, ws.spim = growPlanes(ws.spre, ws.spim, t.sparse.sym.LUNNZ())
 		t.stampGoldenSparse(ws.spre, ws.spim, s)
 		var err error
 		if e.scalarSparse {
@@ -394,6 +397,7 @@ func (e *Engine) exactFallback(ws *workspace, s complex128, omega float64, fault
 	t := e.tmpl
 	ws.cFallback++
 	if ws.colSparse {
+		ws.spre2, ws.spim2 = growPlanes(ws.spre2, ws.spim2, len(ws.spre))
 		copy(ws.spre2, ws.spre)
 		copy(ws.spim2, ws.spim)
 		touched := ws.touched[:0]

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -19,7 +20,7 @@ import (
 
 // denGuard is the relative threshold below which a Sherman–Morrison
 // denominator (rank 1) or a capacitance-matrix pivot (rank k) counts as
-// ill-conditioned and the fault falls back to a full factorization.
+// ill-conditioned and the fault falls back to an exact refactorization.
 const denGuard = 1e-3
 
 // cancelGuard flags catastrophic cancellation in the rank-1 correction:
@@ -115,6 +116,7 @@ type resolutionMemo struct {
 	partVal  []float64
 	distinct []int
 	zSlot    []int
+	maxParts int
 }
 
 // lookup copies the cached resolution into out if faults matches the
@@ -143,6 +145,7 @@ func (m *resolutionMemo) lookup(faults []fault.Fault, out *Batch) bool {
 	copy(out.distinct, m.distinct)
 	out.zSlot = sliceutil.Grow(out.zSlot, len(m.zSlot))
 	copy(out.zSlot, m.zSlot)
+	out.maxParts = m.maxParts
 	return true
 }
 
@@ -156,13 +159,34 @@ func (m *resolutionMemo) store(faults []fault.Fault, out *Batch) {
 	m.partVal = append(m.partVal[:0], out.partVal...)
 	m.distinct = append(m.distinct[:0], out.distinct...)
 	m.zSlot = append(m.zSlot[:0], out.zSlot...)
+	m.maxParts = out.maxParts
 	m.valid = true
 }
 
 // New compiles the circuit and binds the measurement: the named driving
 // voltage source and the observed output node.
 func New(c *circuit.Circuit, source, output string) (*Engine, error) {
-	tmpl, err := Compile(c)
+	return newEngine(c, source, output, nil)
+}
+
+// Variant builds the engine of a circuit variant — a perturbed board, a
+// fault-injected or topology-changed copy — measured at this engine's
+// source and output. A variant with this engine's stamp pattern (every
+// value-only change) shares its compiled sparse program, so it skips
+// the symbolic analysis; any other variant is analyzed afresh. The
+// variant inherits the factor-path override.
+func (e *Engine) Variant(c *circuit.Circuit) (*Engine, error) {
+	v, err := newEngine(c, e.source, e.output, e.tmpl)
+	if err != nil {
+		return nil, err
+	}
+	v.factorPath = e.factorPath
+	return v, nil
+}
+
+// newEngine is New compiling like base (see compileLike).
+func newEngine(c *circuit.Circuit, source, output string, base *Template) (*Engine, error) {
+	tmpl, err := compileLike(c, base)
 	if err != nil {
 		return nil, err
 	}
@@ -184,10 +208,11 @@ func New(c *circuit.Circuit, source, output string) (*Engine, error) {
 	ampAbs := cmplx.Abs(vs.Amplitude)
 	eng := &Engine{tmpl: tmpl, source: source, output: output, outIdx: outIdx, amp: vs.Amplitude, ampAbs: ampAbs, invAmpAbs: 1 / ampAbs}
 	eng.sparseAuto = tmpl.sparse != nil && tmpl.n >= sparseMinN && tmpl.sparse.sym.FillRatio() <= sparseMaxFill
-	// Workspaces are sized for the worst case (every slot distinct) so one
-	// pool serves every batch shape; callers in tight loops (the GA's
-	// fitness evaluations) then reuse scratch instead of reallocating
-	// three n×n matrices per call.
+	// Workspaces start at O(n) and grow to the shapes they serve — the
+	// distinct-slot and part counts of a batch, the sparse planes on first
+	// sparse use — so a cold one-shot call pays for its own problem only;
+	// callers in tight loops (the GA's fitness evaluations) then reuse the
+	// grown scratch from the pool.
 	eng.pool.New = func() any { return newWorkspace(tmpl) }
 	return eng, nil
 }
@@ -298,7 +323,7 @@ func (e *Engine) resolve(f fault.Fault) (int, float64, error) {
 }
 
 // Response computes |H(jω)| for one fault exactly: the template is
-// patched at the fault's slot and the full system factored — no
+// patched at the fault's slot and the patched system itself solved — no
 // Sherman–Morrison shortcut. This is the reference the batch path must
 // agree with, and the path Dictionary.Response memoizes behind.
 func (e *Engine) Response(f fault.Fault, omega float64) (float64, error) {
@@ -306,9 +331,12 @@ func (e *Engine) Response(f fault.Fault, omega float64) (float64, error) {
 }
 
 // ResponseSet computes |H(jω)| for one fault set exactly: the template
-// is patched at every part's slot and the full system factored — no
-// Woodbury shortcut. This is the full-LU reference the batched rank-k
-// path must agree with (≤ 1e-9 relative, pinned by tests on every
+// is patched at every part's slot and the patched system itself solved —
+// no Woodbury shortcut. On the sparse factor path the patched values are
+// refactored on the compiled pattern (O(fill), pooled scratch); a static
+// pivot that trips the guard, and every dense engine, solve by dense
+// partial-pivot LU instead. This is the exact reference the batched
+// rank-k path must agree with (≤ 1e-9 relative, pinned by tests on every
 // built-in CUT), and the path Dictionary.ResponseSet memoizes behind.
 func (e *Engine) ResponseSet(set fault.Set, omega float64) (float64, error) {
 	if err := checkOmega(omega); err != nil {
@@ -318,19 +346,29 @@ func (e *Engine) ResponseSet(set fault.Set, omega float64) (float64, error) {
 	if err := checkDistinct(parts); err != nil {
 		return 0, fmt.Errorf("engine: fault %s: %w", set.ID(), err)
 	}
+	for _, p := range parts {
+		if _, _, err := e.resolve(p); err != nil {
+			return 0, err
+		}
+	}
 	s := complex(0, omega)
+	if e.sparseColumn() {
+		mag, err := e.responseSparse(parts, s)
+		if err == nil {
+			e.stats.SinglePointSparse.Add(1)
+			return mag, nil
+		}
+		if !errors.Is(err, numeric.ErrSingular) {
+			return 0, fmt.Errorf("engine: fault %s at ω=%g: %w", set.ID(), omega, err)
+		}
+	}
 	m := numeric.NewMatrix(e.tmpl.n, e.tmpl.n)
 	e.tmpl.stampGolden(m, s)
 	for _, p := range parts {
-		si, fv, err := e.resolve(p)
-		if err != nil {
-			return 0, err
+		if si, fv, _ := e.resolve(p); si >= 0 {
+			sl := &e.tmpl.slots[si]
+			e.tmpl.addRank1(m, sl, sl.coeff(fv, s)-sl.coeff(sl.value, s))
 		}
-		if si < 0 {
-			continue
-		}
-		sl := &e.tmpl.slots[si]
-		e.tmpl.addRank1(m, sl, sl.coeff(fv, s)-sl.coeff(sl.value, s))
 	}
 	lu, err := numeric.FactorInPlace(m)
 	if err != nil {
@@ -340,7 +378,34 @@ func (e *Engine) ResponseSet(set fault.Set, omega float64) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("engine: fault %s at ω=%g: %w", set.ID(), omega, err)
 	}
+	e.stats.SinglePointDense.Add(1)
 	return cmplx.Abs(e.out(x) / e.amp), nil
+}
+
+// responseSparse is ResponseSet's sparse exact solve of already-resolved
+// parts: the golden planes plus each part's rank-1 delta (the dense
+// path's stamp sequence), one numeric refactorization on the compiled
+// pattern and one solve, all on pooled workspace storage. It returns
+// ErrSingular (wrapped) when a static pivot trips the guard.
+func (e *Engine) responseSparse(parts []fault.Fault, s complex128) (float64, error) {
+	t := e.tmpl
+	ws := e.pool.Get().(*workspace)
+	defer e.pool.Put(ws)
+	ws.spre, ws.spim = growPlanes(ws.spre, ws.spim, t.sparse.sym.LUNNZ())
+	t.stampGoldenSparse(ws.spre, ws.spim, s)
+	for _, p := range parts {
+		if si, fv, _ := e.resolve(p); si >= 0 {
+			sl := &t.slots[si]
+			t.addRank1Sparse(ws.spre, ws.spim, si, sl.coeff(fv, s)-sl.coeff(sl.value, s))
+		}
+	}
+	if err := ws.slus.RefactorReuse(t.sparse.sym, ws.spre, ws.spim); err != nil {
+		return 0, err
+	}
+	if err := ws.slus.SolveInto(ws.xf, t.b); err != nil {
+		return 0, err
+	}
+	return cmplx.Abs(e.out(ws.xf) / e.amp), nil
 }
 
 // checkDistinct rejects fault sets touching one component twice: the
@@ -398,6 +463,7 @@ type Batch struct {
 	partVal  []float64 // flattened faulted values
 	distinct []int     // distinct slots present, in first-seen order
 	zSlot    []int     // template slot → z-solve position (-1 absent)
+	maxParts int       // largest part count of any item
 }
 
 // Signatures returns the fault-space points: Mags − Golden, row-aligned
@@ -414,12 +480,14 @@ func (b *Batch) Signatures() [][]float64 {
 	return out
 }
 
-// workspace is one worker's preallocated scratch: stamped matrix, two
+// workspace is one worker's reusable scratch: stamped matrix, two
 // factorization targets (golden and fallback) with their reusable LU
 // headers, solution vectors, one z = A⁻¹u vector per distinct fault
 // slot in the batch, and the small dense scratch of the rank-k
-// capacitance solves (k is bounded by the slot count, so sizing at
-// nslots covers every batch shape).
+// capacitance solves. Everything beyond the O(n) vectors is sized by
+// the problem it serves and grows on demand: slot scratch by the
+// batch's distinct-slot and part counts (ensureBatch), sparse planes on
+// first sparse use, dense matrices on first dense use.
 type workspace struct {
 	m     *numeric.Matrix // golden A(s), kept unfactored for fallbacks
 	f     *numeric.Matrix // golden factorization storage
@@ -502,36 +570,15 @@ type workspace struct {
 }
 
 func newWorkspace(t *Template) *workspace {
-	n, nslots := t.n, len(t.slots)
+	n := t.n
 	ws := &workspace{
-		x0:     make([]complex128, n),
-		xf:     make([]complex128, n),
-		rhs:    make([]complex128, n),
-		z:      make([][]complex128, nslots),
-		delta:  make([]complex128, nslots),
-		cmat:   make([]complex128, nslots*nslots),
-		wvec:   make([]complex128, nslots),
-		blk:    numeric.NewBlock(n, 1+nslots),
-		vtz:    make([]complex128, nslots),
-		vtx0:   make([]complex128, nslots),
-		zoutc:  make([]complex128, nslots),
-		gcoeff: make([]complex128, nslots),
-		grpJ0:  -1,
+		x0:    make([]complex128, n),
+		xf:    make([]complex128, n),
+		rhs:   make([]complex128, n),
+		blk:   new(numeric.Block),
+		grpJ0: -1,
 	}
-	for i := range ws.z {
-		ws.z[i] = make([]complex128, n)
-	}
-	if t.sparse != nil {
-		lnnz := t.sparse.sym.LUNNZ()
-		ws.spre = make([]float64, lnnz)
-		ws.spim = make([]float64, lnnz)
-		ws.spre2 = make([]float64, lnnz)
-		ws.spim2 = make([]float64, lnnz)
-		for x := 0; x < numeric.FreqBlock; x++ {
-			ws.spreBlk[x] = make([]float64, lnnz)
-			ws.spimBlk[x] = make([]float64, lnnz)
-		}
-	} else {
+	if t.sparse == nil {
 		// Dense-only engines factor n×n every column; sparse-capable
 		// engines allocate the six dense matrices lazily, only if a
 		// column actually falls back — a thousand-node grid would
@@ -540,6 +587,36 @@ func newWorkspace(t *Template) *workspace {
 		ws.ensureSoADense(n)
 	}
 	return ws
+}
+
+// getWorkspace takes a pooled workspace sized for out's resolved batch.
+func (e *Engine) getWorkspace(out *Batch) *workspace {
+	ws := e.pool.Get().(*workspace)
+	ws.ensureBatch(e.tmpl.n, len(out.distinct), out.maxParts, e.scalarKernels)
+	ws.grpJ0, ws.grpLen = -1, 0
+	return ws
+}
+
+// ensureBatch grows the slot scratch to nd distinct slots and items of
+// up to k parts; the scalar path's z vectors only when scalar is set.
+// Once grown, repeat batch shapes reslice without allocating.
+func (ws *workspace) ensureBatch(n, nd, k int, scalar bool) {
+	ws.vtz = sliceutil.Grow(ws.vtz, nd)
+	ws.vtx0 = sliceutil.Grow(ws.vtx0, nd)
+	ws.zoutc = sliceutil.Grow(ws.zoutc, nd)
+	ws.gcoeff = sliceutil.Grow(ws.gcoeff, nd)
+	ws.delta = sliceutil.Grow(ws.delta, k)
+	ws.wvec = sliceutil.Grow(ws.wvec, k)
+	ws.cmat = sliceutil.Grow(ws.cmat, k*k)
+	for scalar && len(ws.z) < nd {
+		ws.z = append(ws.z, make([]complex128, n))
+	}
+}
+
+// growPlanes sizes a re/im value-plane pair to n entries, reallocating
+// only when the capacity is short (contents unspecified).
+func growPlanes(re, im []float64, n int) ([]float64, []float64) {
+	return sliceutil.Grow(re, n), sliceutil.Grow(im, n)
 }
 
 // ensureScalarDense sizes the scalar-path golden/fallback dense
@@ -688,6 +765,10 @@ func (e *Engine) resolveBatch(faults []fault.Fault, sets []fault.Set, out *Batch
 			out.off[i+1] = len(out.partSlot)
 		}
 	}
+	out.maxParts = 0
+	for i := 0; i < nitems; i++ {
+		out.maxParts = max(out.maxParts, out.off[i+1]-out.off[i])
+	}
 	// Distinct slots present in the batch get one z-solve per frequency.
 	out.zSlot = sliceutil.Grow(out.zSlot, len(e.tmpl.slots))
 	for i := range out.zSlot {
@@ -783,9 +864,8 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 	if workers == 1 {
 		// Inline path: no goroutine or channel overhead for the common
 		// small batches (a GA candidate is k=2 frequencies).
-		ws := e.pool.Get().(*workspace)
+		ws := e.getWorkspace(out)
 		defer e.pool.Put(ws)
-		ws.grpJ0, ws.grpLen = -1, 0
 		for g := 0; g < len(omegas); g += unit {
 			hi := g + unit
 			if hi > len(omegas) {
@@ -822,9 +902,8 @@ func (e *Engine) batchParallel(ctx context.Context, faults []fault.Fault, sets [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := e.pool.Get().(*workspace)
+			ws := e.getWorkspace(out)
 			defer e.pool.Put(ws)
-			ws.grpJ0, ws.grpLen = -1, 0
 			for g := range jobs {
 				if ctx.Err() != nil {
 					continue // drain without solving so the producer never blocks

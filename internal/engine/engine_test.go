@@ -273,3 +273,31 @@ func TestSlotAccessors(t *testing.T) {
 		t.Fatal("SlotValue for unknown element")
 	}
 }
+
+// TestVerifyRejectsCorruptTemplate pins the O(nnz) template verification
+// as a real check: a compiled template whose static entry, slot value or
+// RHS drifts from the element stamps must fail verification.
+func TestVerifyRejectsCorruptTemplate(t *testing.T) {
+	cut := circuits.TowThomasLP()
+	probes := []complex128{0, complex(0, 2.7182818)}
+	for _, corrupt := range []struct {
+		name string
+		fn   func(*Template)
+	}{
+		{"static", func(tm *Template) { tm.static[0].v += 1e-6 }},
+		{"slot", func(tm *Template) { tm.slots[0].value *= 1 + 1e-6 }},
+		{"rhs", func(tm *Template) { tm.b[len(tm.b)-1] += 1e-6 }},
+	} {
+		tmpl, err := Compile(cut.Circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tmpl.verify(probes...); err != nil {
+			t.Fatalf("pristine template rejected: %v", err)
+		}
+		corrupt.fn(tmpl)
+		if err := tmpl.verify(probes...); err == nil {
+			t.Errorf("%s corruption passed verification", corrupt.name)
+		}
+	}
+}

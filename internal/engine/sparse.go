@@ -63,6 +63,12 @@ func compileSparse(t *Template) *sparseProgram {
 		sp.staticIdx[k] = sym.ValueIndex(e.i, e.j)
 	}
 	sp.slotRows = make([][]int, len(t.slots))
+	nprod := 0
+	for si := range t.slots {
+		nprod += len(t.slots[si].u) * len(t.slots[si].v)
+	}
+	sp.prodIdx = make([]int, 0, nprod)
+	sp.prodW = make([]complex128, 0, nprod)
 	seen := make([]int, t.n)
 	for i := range seen {
 		seen[i] = -1

@@ -6,11 +6,12 @@ import (
 	"repro/internal/obs"
 )
 
-// PathStats counts which numeric paths the engine's batch solves took.
-// All fields are lock-free atomics safe to read while batches run; the
-// hot column solvers accumulate into plain workspace-local ints and
-// flush here once per frequency column, so the per-item loops never
-// touch shared cache lines.
+// PathStats counts which numeric paths the engine's solves took. All
+// fields are lock-free atomics safe to read while batches run; the hot
+// column solvers accumulate into plain workspace-local ints and flush
+// here once per frequency column, so the per-item loops never touch
+// shared cache lines. All counters but the SinglePoint pair count batch
+// work only.
 type PathStats struct {
 	// DenseFactors / SparseFactors count full factorizations by path:
 	// golden factorizations plus exact-fallback refactorizations.
@@ -47,6 +48,13 @@ type PathStats struct {
 	// golden sparse refactorization that tripped the static-pivot guard.
 	DenseFallbackExact    atomic.Int64
 	DenseFallbackSingular atomic.Int64
+	// SinglePointSparse / SinglePointDense count single-point exact
+	// solves (Response, ResponseSet, GoldenResponse) by path: a sparse
+	// refactorization on the compiled pattern, or a dense partial-pivot
+	// LU — every solve of a dense engine, and a sparse engine's solve
+	// whose static pivot tripped the guard.
+	SinglePointSparse atomic.Int64
+	SinglePointDense  atomic.Int64
 }
 
 // PathStatsSnapshot is a plain-value copy of PathStats, JSON-ready for
@@ -65,6 +73,9 @@ type PathStatsSnapshot struct {
 	PartialRefactorColumns int64 `json:"partial_refactor_columns"`
 	DenseFallbackExact     int64 `json:"dense_fallback_exact"`
 	DenseFallbackSingular  int64 `json:"dense_fallback_singular"`
+
+	SinglePointSparse int64 `json:"single_point_sparse"`
+	SinglePointDense  int64 `json:"single_point_dense"`
 }
 
 // Snapshot reads the counters. Each is loaded once; concurrent batches
@@ -85,6 +96,9 @@ func (p *PathStats) Snapshot() PathStatsSnapshot {
 		PartialRefactorColumns: p.PartialRefactorColumns.Load(),
 		DenseFallbackExact:     p.DenseFallbackExact.Load(),
 		DenseFallbackSingular:  p.DenseFallbackSingular.Load(),
+
+		SinglePointSparse: p.SinglePointSparse.Load(),
+		SinglePointDense:  p.SinglePointDense.Load(),
 	}
 }
 
@@ -103,6 +117,8 @@ func (s *PathStatsSnapshot) Add(o PathStatsSnapshot) {
 	s.PartialRefactorColumns += o.PartialRefactorColumns
 	s.DenseFallbackExact += o.DenseFallbackExact
 	s.DenseFallbackSingular += o.DenseFallbackSingular
+	s.SinglePointSparse += o.SinglePointSparse
+	s.SinglePointDense += o.SinglePointDense
 }
 
 // flush moves the workspace-local column counters into the shared

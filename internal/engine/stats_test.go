@@ -81,6 +81,31 @@ func TestPathStatsCounting(t *testing.T) {
 	if s.MemoHits != before.MemoHits || s.MemoMisses != before.MemoMisses {
 		t.Errorf("set batches must not touch the memo counters")
 	}
+	if s.SinglePointSparse != 0 || s.SinglePointDense != 0 {
+		t.Errorf("batches counted single-point solves: %d sparse, %d dense", s.SinglePointSparse, s.SinglePointDense)
+	}
+
+	// Single-point exact solves count on their own pair only: this dense
+	// CUT solves each one by dense LU, and the batch counters stay put.
+	before = eng.Stats()
+	for _, w := range omegas {
+		if _, err := eng.ResponseSet(pair, w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.GoldenResponse(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s = eng.Stats()
+	if got := s.SinglePointDense - before.SinglePointDense; got != int64(2*len(omegas)) {
+		t.Errorf("SinglePointDense delta = %d, want %d", got, 2*len(omegas))
+	}
+	if s.SinglePointSparse != 0 {
+		t.Errorf("SinglePointSparse = %d on a dense CUT, want 0", s.SinglePointSparse)
+	}
+	if s.DenseFactors != before.DenseFactors || s.SparseFactors != before.SparseFactors {
+		t.Errorf("single-point solves moved the batch factor counters")
+	}
 
 	// Scalar reference path keeps the same books.
 	eng2, err := New(cut.Circuit, cut.Source, cut.Output)
@@ -104,9 +129,10 @@ func TestPathStatsCounting(t *testing.T) {
 // TestSnapshotAdd pins the aggregation arithmetic the serving layer
 // relies on.
 func TestSnapshotAdd(t *testing.T) {
-	a := PathStatsSnapshot{DenseFactors: 1, Rank1Solves: 2, MemoHits: 3}
-	a.Add(PathStatsSnapshot{DenseFactors: 10, SparseFactors: 5, RankKSolves: 7, MemoMisses: 4})
-	want := PathStatsSnapshot{DenseFactors: 11, SparseFactors: 5, Rank1Solves: 2, RankKSolves: 7, MemoHits: 3, MemoMisses: 4}
+	a := PathStatsSnapshot{DenseFactors: 1, Rank1Solves: 2, MemoHits: 3, SinglePointSparse: 6}
+	a.Add(PathStatsSnapshot{DenseFactors: 10, SparseFactors: 5, RankKSolves: 7, MemoMisses: 4, SinglePointSparse: 1, SinglePointDense: 2})
+	want := PathStatsSnapshot{DenseFactors: 11, SparseFactors: 5, Rank1Solves: 2, RankKSolves: 7, MemoHits: 3, MemoMisses: 4,
+		SinglePointSparse: 7, SinglePointDense: 2}
 	if a != want {
 		t.Fatalf("Add = %+v, want %+v", a, want)
 	}

@@ -15,14 +15,25 @@
 // batch, and then solves every single fault via the Sherman–Morrison
 // identity and every k-part fault set via the Sherman–Morrison–Woodbury
 // identity (a k×k capacitance system over the shared z vectors), falling
-// back to a full LU when an update is ill-conditioned. Frequencies fan
-// out over a worker pool with per-worker scratch workspaces, so a whole
-// dictionary grid costs one O(n³) factorization per frequency instead of
-// one per (fault, frequency).
+// back to an exact refactorization when an update is ill-conditioned.
+// Frequencies fan out over a worker pool with per-worker scratch
+// workspaces, so a whole dictionary grid costs one golden factorization
+// per frequency instead of one per (fault, frequency).
+//
+// The golden factorization is dense partial-pivot LU (O(n³)) for small
+// circuits, or — past a size/fill crossover — a numeric refactorization
+// on a sparse pattern analyzed once at Compile (O(fill)). Single-point
+// exact responses (Response, ResponseSet, GoldenResponse) and circuit
+// variants (Engine.Variant, which shares the symbolic analysis when only
+// values changed) solve the patched system itself on the same factor
+// path, so no one-shot call pays O(n²) memory or O(n³) time on a sparse
+// engine unless a static pivot forces the dense fallback.
 package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/numeric"
@@ -99,7 +110,15 @@ type Template struct {
 // not assemble, and self-checks the compiled stamp program against the
 // element Stamp methods at two probe frequencies so a template can never
 // silently disagree with the classic per-point path.
-func Compile(c *circuit.Circuit) (*Template, error) {
+func Compile(c *circuit.Circuit) (*Template, error) { return compileLike(c, nil) }
+
+// compileLike is Compile reusing base's sparse stamp program — and with
+// it the symbolic analysis — when the new template's stamp pattern
+// (static positions and every slot's u/v vectors) equals base's. Values
+// may differ freely: a re-valued or perturbed board, or a parametric or
+// open/short value fault, shares the pattern; a topology change is
+// analyzed afresh. A nil base always analyzes.
+func compileLike(c *circuit.Circuit, base *Template) (*Template, error) {
 	sys, err := c.Assemble()
 	if err != nil {
 		return nil, err
@@ -108,20 +127,43 @@ func Compile(c *circuit.Circuit) (*Template, error) {
 		sys:    sys,
 		n:      sys.Size(),
 		b:      make([]complex128, sys.Size()),
-		byName: make(map[string]int),
+		slots:  make([]slot, 0, len(c.Elements())),
+		byName: make(map[string]int, len(c.Elements())),
 	}
 	for _, e := range c.Elements() {
 		if err := t.compileElement(sys, e); err != nil {
 			return nil, err
 		}
 	}
-	for _, s := range []complex128{0, complex(0, 2.7182818)} {
-		if err := t.verifyAt(s); err != nil {
-			return nil, err
+	if err := t.verify(0, complex(0, 2.7182818)); err != nil {
+		return nil, err
+	}
+	if base != nil && base.sparse != nil && t.samePattern(base) {
+		t.sparse = base.sparse
+	} else {
+		t.sparse = compileSparse(t)
+	}
+	return t, nil
+}
+
+// samePattern reports whether t and o stamp the same structural program:
+// equal order, static positions in order, and slot u/v vectors (indices
+// and weights) — everything a sparseProgram is built from.
+func (t *Template) samePattern(o *Template) bool {
+	if t.n != o.n || len(t.static) != len(o.static) || len(t.slots) != len(o.slots) {
+		return false
+	}
+	for k := range t.static {
+		if t.static[k].i != o.static[k].i || t.static[k].j != o.static[k].j {
+			return false
 		}
 	}
-	t.sparse = compileSparse(t)
-	return t, nil
+	for si := range t.slots {
+		if !slices.Equal(t.slots[si].u, o.slots[si].u) || !slices.Equal(t.slots[si].v, o.slots[si].v) {
+			return false
+		}
+	}
+	return true
 }
 
 // node resolves a node name to its matrix index (-1 for ground); compile
@@ -347,22 +389,108 @@ func (t *Template) addRank1SoA(dst *numeric.SoAMatrix, sl *slot, theta complex12
 // RHS returns the template's constant source vector (not a copy).
 func (t *Template) RHS() []complex128 { return t.b }
 
-// verifyAt cross-checks the compiled template against the elements' own
-// Stamp methods at one complex frequency.
-func (t *Template) verifyAt(s complex128) error {
-	want, wantB, err := t.sys.StampAt(s)
-	if err != nil {
-		return err
+// verify cross-checks the compiled template against the elements' own
+// Stamp methods at each probe frequency, with the tolerance
+// 1e-12·(1+max|a|) over the merged matrix. Both sides are stamp lists —
+// the elements' triplets and the template's statics plus nominal slot
+// products — bucketed by row and merged per (i, j) through scatter sums,
+// so the check costs O(nnz + n) time and memory (shared across probes)
+// where a dense compare would stamp two n×n matrices per probe.
+func (t *Template) verify(probes ...complex128) error {
+	type term struct {
+		j    int32
+		want bool
+		v    complex128
 	}
-	got := numeric.NewMatrix(t.n, t.n)
-	t.stampGolden(got, s)
-	tol := 1e-12 * (1 + want.MaxAbs())
-	if !got.Equalish(want, tol) {
-		return fmt.Errorf("engine: compiled template disagrees with element stamps at s=%v", s)
+	// The template side's contribution count, which the element side
+	// matches, presizes the triplet buffer.
+	ngot := len(t.static)
+	for si := range t.slots {
+		ngot += len(t.slots[si].u) * len(t.slots[si].v)
 	}
-	for i := range wantB {
-		if d := t.b[i] - wantB[i]; real(d)*real(d)+imag(d)*imag(d) > tol*tol {
-			return fmt.Errorf("engine: compiled RHS disagrees with element stamps at s=%v", s)
+	want := make([]circuit.Entry, 0, ngot)
+	start := make([]int, t.n+1)
+	var next []int
+	var byRow []term
+	wsum := make([]complex128, t.n)
+	gsum := make([]complex128, t.n)
+	mark := make([]int, t.n)
+	for _, s := range probes {
+		var wantB []complex128
+		var err error
+		want, wantB, err = t.sys.StampEntries(s, want[:0])
+		if err != nil {
+			return err
+		}
+		// each visits every contribution of both sides: the element
+		// stamps (want) and the template's golden stamp sequence.
+		each := func(fn func(i, j int, v complex128, want bool)) {
+			for _, e := range want {
+				fn(e.I, e.J, e.V, true)
+			}
+			for _, e := range t.static {
+				fn(e.i, e.j, e.v, false)
+			}
+			for si := range t.slots {
+				sl := &t.slots[si]
+				theta := sl.coeff(sl.value, s)
+				if theta == 0 {
+					continue
+				}
+				for _, ue := range sl.u {
+					w := theta * ue.w
+					for _, ve := range sl.v {
+						fn(ue.idx, ve.idx, w*ve.w, false)
+					}
+				}
+			}
+		}
+		// Bucket by row (counting sort), then merge each row through the
+		// scatter sums.
+		clear(start)
+		each(func(i, _ int, _ complex128, _ bool) { start[i+1]++ })
+		for i := 0; i < t.n; i++ {
+			start[i+1] += start[i]
+		}
+		next = append(next[:0], start[:t.n]...)
+		byRow = slices.Grow(byRow[:0], start[t.n])[:start[t.n]]
+		each(func(i, j int, v complex128, w bool) {
+			byRow[next[i]] = term{int32(j), w, v}
+			next[i]++
+		})
+		for j := range mark {
+			mark[j] = -1
+		}
+		// Squared magnitudes: one sqrt per probe instead of a hypot per
+		// entry.
+		var maxWant2, maxDiff2 float64
+		for i := 0; i < t.n; i++ {
+			row := byRow[start[i]:start[i+1]]
+			for _, tm := range row {
+				if mark[tm.j] != i {
+					mark[tm.j] = i
+					wsum[tm.j], gsum[tm.j] = 0, 0
+				}
+				if tm.want {
+					wsum[tm.j] += tm.v
+				} else {
+					gsum[tm.j] += tm.v
+				}
+			}
+			for _, tm := range row {
+				w, d := wsum[tm.j], gsum[tm.j]-wsum[tm.j]
+				maxWant2 = max(maxWant2, real(w)*real(w)+imag(w)*imag(w))
+				maxDiff2 = max(maxDiff2, real(d)*real(d)+imag(d)*imag(d))
+			}
+		}
+		tol := 1e-12 * (1 + math.Sqrt(maxWant2))
+		if maxDiff2 > tol*tol {
+			return fmt.Errorf("engine: compiled template disagrees with element stamps at s=%v", s)
+		}
+		for i := range wantB {
+			if d := t.b[i] - wantB[i]; real(d)*real(d)+imag(d)*imag(d) > tol*tol {
+				return fmt.Errorf("engine: compiled RHS disagrees with element stamps at s=%v", s)
+			}
 		}
 	}
 	return nil

@@ -83,18 +83,20 @@ func AnalyzeSparse(n int, rows [][]int) (*SparseSymbolic, error) {
 	if len(rows) != n {
 		return nil, fmt.Errorf("numeric: analyze n=%d with %d pattern rows: %w", n, len(rows), ErrDimension)
 	}
-	// Deduplicated, sorted adjacency; validates indices.
+	// Deduplicated, sorted adjacency; validates indices. seen[j] == i+1
+	// marks column j as already taken in row i, so one O(n) marker array
+	// serves every row.
 	adj := make([][]int, n)
+	seen := make([]int, n)
 	annz := 0
 	for i, r := range rows {
-		seen := make([]bool, n)
 		var out []int
 		for _, j := range r {
 			if j < 0 || j >= n {
 				return nil, fmt.Errorf("numeric: pattern entry (%d,%d) out of range n=%d: %w", i, j, n, ErrDimension)
 			}
-			if !seen[j] {
-				seen[j] = true
+			if seen[j] != i+1 {
+				seen[j] = i + 1
 				out = append(out, j)
 			}
 		}
@@ -204,7 +206,9 @@ func (s *SparseSymbolic) postorderReorder(adj [][]int) {
 		s.invRow[s.rowperm[i]] = i
 		s.invCol[s.colperm[i]] = i
 	}
-	s.cols = nil
+	// The refill reuses the pattern storage in place: rows are rewritten
+	// in order and row i only reads rows k < i, already rewritten.
+	s.cols = s.cols[:0]
 	s.symbolicFill(adj)
 }
 

@@ -169,4 +169,6 @@ func WriteEnginePrometheus(w io.Writer, s engine.PathStatsSnapshot) {
 	counter("partial_refactor_columns_total", "matrix columns re-eliminated by partial refactors", s.PartialRefactorColumns)
 	counter("dense_fallback_exact_total", "dense factorizations after a singular partial refactor", s.DenseFallbackExact)
 	counter("dense_fallback_singular_total", "dense golden factorizations after a singular sparse refactor", s.DenseFallbackSingular)
+	counter("single_point_sparse_total", "single-point exact solves on the sparse pattern", s.SinglePointSparse)
+	counter("single_point_dense_total", "single-point exact solves by dense LU", s.SinglePointDense)
 }

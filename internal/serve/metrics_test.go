@@ -183,6 +183,8 @@ type statsPayload struct {
 		PartialRefactorColumns int64 `json:"partial_refactor_columns"`
 		DenseFallbackExact     int64 `json:"dense_fallback_exact"`
 		DenseFallbackSingular  int64 `json:"dense_fallback_singular"`
+		SinglePointSparse      int64 `json:"single_point_sparse"`
+		SinglePointDense       int64 `json:"single_point_dense"`
 	} `json:"engine"`
 }
 
@@ -217,6 +219,8 @@ func TestServerMetricsAndStats(t *testing.T) {
 		"ftserve_engine_partial_refactor_columns_total",
 		"ftserve_engine_dense_fallback_exact_total",
 		"ftserve_engine_dense_fallback_singular_total",
+		"ftserve_engine_single_point_sparse_total",
+		"ftserve_engine_single_point_dense_total",
 	} {
 		if _, ok := p.values[series]; !ok {
 			t.Errorf("missing series %s", series)
@@ -272,6 +276,11 @@ func TestServerMetricsAndStats(t *testing.T) {
 	if e.PartialRefactorColumns < e.PartialRefactors {
 		t.Errorf("partial_refactor_columns %d < partial_refactors %d", e.PartialRefactorColumns, e.PartialRefactors)
 	}
+	// Serving answers through batched signatures only, never through
+	// single-point exact solves.
+	if e.SinglePointSparse+e.SinglePointDense != 0 {
+		t.Errorf("serving ran single-point solves: %d sparse, %d dense", e.SinglePointSparse, e.SinglePointDense)
+	}
 	if e.DenseFallbackExact+e.DenseFallbackSingular > e.DenseFactors {
 		t.Errorf("dense fallback split %d+%d exceeds dense_factors %d",
 			e.DenseFallbackExact, e.DenseFallbackSingular, e.DenseFactors)
@@ -282,6 +291,8 @@ func TestServerMetricsAndStats(t *testing.T) {
 		"partial_refactor_columns": e.PartialRefactorColumns,
 		"dense_fallback_exact":     e.DenseFallbackExact,
 		"dense_fallback_singular":  e.DenseFallbackSingular,
+		"single_point_sparse":      e.SinglePointSparse,
+		"single_point_dense":       e.SinglePointDense,
 	} {
 		if v < 0 {
 			t.Errorf("engine counter %s negative: %d", name, v)
