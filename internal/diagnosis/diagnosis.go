@@ -176,76 +176,89 @@ func (d *Diagnoser) Map() *trajectory.Map { return d.m }
 
 // Diagnose ranks components for an observed signature point. The point's
 // dimension must match the map's test vector.
+//
+// Each trajectory costs one allocation-free projection pass, and the
+// ranking sorts a permutation of compact keys, so a call allocates a
+// fixed handful of objects however many segments the map has.
 func (d *Diagnoser) Diagnose(point geometry.VecN) (*Result, error) {
 	if len(point) != d.m.Dim() {
 		return nil, fmt.Errorf("diagnosis: point dimension %d, map dimension %d", len(point), d.m.Dim())
 	}
-	res := &Result{Point: append(geometry.VecN(nil), point...)}
-	for _, tr := range d.m.Trajectories {
-		seg, proj, ok := tr.Points.NearestSegmentN(point)
+	trs := d.m.Trajectories
+	keys := make([]rankKey, 0, len(trs))
+	for ti, tr := range trs {
+		pr, ok := tr.Points.Project(point)
 		if !ok {
 			continue
 		}
-		// The paper prefers projections whose perpendicular exists; scan
-		// all segments for the best interior projection too.
-		bestInterior, hasInterior := bestInteriorProjection(tr, point)
-		cand := Candidate{Component: tr.Component}
-		if hasInterior {
-			cand.Distance = bestInterior.dist
-			cand.Deviation = tr.DeviationAt(bestInterior.seg, bestInterior.t)
-			cand.Perpendicular = true
-		} else {
-			cand.Distance = proj.Dist
-			cand.Deviation = tr.DeviationAt(seg, proj.T)
+		// The paper prefers projections whose perpendicular exists: the
+		// best interior foot wins over the nearest clamped one.
+		foot := pr.Nearest
+		if pr.HasInterior {
+			foot = pr.Interior
 		}
-		if tr.IsMulti() {
-			cand.Components = append([]string(nil), tr.Components...)
-			cand.Deviations = append(append([]float64(nil), tr.FixedDeviations...), cand.Deviation)
-		}
-		res.Candidates = append(res.Candidates, cand)
+		keys = append(keys, rankKey{
+			traj:          ti,
+			dist:          foot.Dist,
+			dev:           tr.DeviationAt(foot.Seg, foot.T),
+			perpendicular: pr.HasInterior,
+		})
 	}
-	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		a, b := res.Candidates[i], res.Candidates[j]
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := &keys[order[i]], &keys[order[j]]
 		// Perpendicular evidence wins when distances are comparable
 		// (within 1%); otherwise plain distance decides.
-		if a.Perpendicular != b.Perpendicular && math.Abs(a.Distance-b.Distance) <= 0.01*math.Max(a.Distance, b.Distance) {
-			return a.Perpendicular
+		if a.perpendicular != b.perpendicular && math.Abs(a.dist-b.dist) <= 0.01*math.Max(a.dist, b.dist) {
+			return a.perpendicular
 		}
-		return a.Distance < b.Distance
+		return a.dist < b.dist
 	})
+	res := &Result{Point: append(geometry.VecN(nil), point...)}
+	if len(keys) == 0 {
+		return res, nil // no trajectory has a segment: Candidates stays nil
+	}
 	// A pair's sweep families all claim the same component set; keep only
 	// the best-ranked claim per Key so the ranking reads as distinct
 	// hypotheses. Single-fault maps have unique keys, so this is a no-op
 	// there.
-	seen := make(map[string]bool, len(res.Candidates))
-	kept := res.Candidates[:0]
-	for _, c := range res.Candidates {
-		if k := c.Key(); !seen[k] {
-			seen[k] = true
-			kept = append(kept, c)
+	res.Candidates = make([]Candidate, 0, len(keys))
+	seen := make(map[string]bool, len(keys))
+	for _, ki := range order {
+		k := keys[ki]
+		tr := trs[k.traj]
+		// c aliases tr.Components only to compute its Key; a kept
+		// multi-fault candidate gets its own copies below.
+		c := Candidate{
+			Component:     tr.Component,
+			Components:    tr.Components,
+			Distance:      k.dist,
+			Deviation:     k.dev,
+			Perpendicular: k.perpendicular,
 		}
+		key := c.Key()
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		if tr.IsMulti() {
+			c.Components = append([]string(nil), tr.Components...)
+			c.Deviations = append(append([]float64(nil), tr.FixedDeviations...), c.Deviation)
+		}
+		res.Candidates = append(res.Candidates, c)
 	}
-	res.Candidates = kept
 	return res, nil
 }
 
-type interiorProj struct {
-	seg  int
-	t    float64
-	dist float64
-}
-
-func bestInteriorProjection(tr *trajectory.Trajectory, p geometry.VecN) (interiorProj, bool) {
-	best := interiorProj{dist: math.Inf(1)}
-	found := false
-	for i := 0; i+1 < len(tr.Points); i++ {
-		pr := geometry.ProjectN(p, tr.Points[i], tr.Points[i+1])
-		if pr.Interior && pr.Dist < best.dist {
-			best = interiorProj{seg: i, t: pr.T, dist: pr.Dist}
-			found = true
-		}
-	}
-	return best, found
+// rankKey is one trajectory's claim on the observed point, compact so the
+// ranking sort moves indices rather than Candidates.
+type rankKey struct {
+	traj          int
+	dist, dev     float64
+	perpendicular bool
 }
 
 // DiagnoseFault is a convenience that computes the fault's signature from

@@ -341,6 +341,9 @@ func TestSparseBatchAllocationFree(t *testing.T) {
 		omegas[0] = 0.005 + float64(i%50)*1e-6
 		run()
 	})
+	if raceEnabled {
+		t.Skipf("race instrumentation drops pooled workspaces (%.2f objects/run); count not asserted", avg)
+	}
 	// < 1 rather than 0: a GC pass mid-measurement can empty the
 	// engine's workspace pool, exactly like the repo-level fitness guard.
 	if avg >= 1 {

@@ -296,6 +296,9 @@ func TestSupernodalGroupBatchAllocationFree(t *testing.T) {
 		omegas[0] = 0.004 + float64(i%50)*1e-7
 		run()
 	})
+	if raceEnabled {
+		t.Skipf("race instrumentation drops pooled workspaces (%.2f objects/run); count not asserted", avg)
+	}
 	if avg >= 1 {
 		t.Fatalf("group batch allocates %.2f objects/run in steady state, want < 1", avg)
 	}

@@ -95,28 +95,91 @@ func (pl PolylineN) LengthN() float64 {
 	return l
 }
 
-// NearestSegmentN finds the closest segment of pl to p.
-func (pl PolylineN) NearestSegmentN(p VecN) (int, ProjectionN, bool) {
+// SegmentFoot is the perpendicular foot of a point on one segment of a
+// polyline: the segment index (pl[Seg]→pl[Seg+1]), the unclamped line
+// parameter T and the distance from the point to the foot clamped onto
+// the segment — ProjectN's T and Dist.
+type SegmentFoot struct {
+	Seg  int
+	T    float64
+	Dist float64
+}
+
+// PolylineProjection holds the two feet the paper's classification step
+// reads off a polyline: the nearest foot over all segments, and the
+// nearest foot lying strictly inside its segment (0 < T < 1), where the
+// perpendicular actually exists.
+type PolylineProjection struct {
+	Nearest SegmentFoot
+	// Interior is meaningful only when HasInterior is set.
+	Interior    SegmentFoot
+	HasInterior bool
+}
+
+// Project drops a perpendicular from p onto every segment of pl in one
+// allocation-free pass. Each segment's T and Dist are bit-identical to
+// ProjectN on that segment. The first segment seeds Nearest and a later
+// one replaces it only when strictly closer; Interior is likewise the
+// first strictly-closest interior foot. ok is false when pl has fewer
+// than two points. Dimension mismatches panic, as in ProjectN.
+func (pl PolylineN) Project(p VecN) (pr PolylineProjection, ok bool) {
 	if len(pl) < 2 {
-		return 0, ProjectionN{}, false
+		return PolylineProjection{}, false
 	}
-	best := 0
-	bestProj := ProjectN(p, pl[0], pl[1])
-	for i := 1; i+1 < len(pl); i++ {
-		if pr := ProjectN(p, pl[i], pl[i+1]); pr.Dist < bestProj.Dist {
-			best, bestProj = i, pr
+	interiorDist := math.Inf(1)
+	for i := 0; i+1 < len(pl); i++ {
+		t, dist, interior := segmentFoot(p, pl[i], pl[i+1])
+		if i == 0 || dist < pr.Nearest.Dist {
+			pr.Nearest = SegmentFoot{Seg: i, T: t, Dist: dist}
+		}
+		if interior && dist < interiorDist {
+			interiorDist = dist
+			pr.Interior = SegmentFoot{Seg: i, T: t, Dist: dist}
+			pr.HasInterior = true
 		}
 	}
-	return best, bestProj, true
+	return pr, true
+}
+
+// segmentFoot is ProjectN without the foot vector: the same operations
+// in the same order (d = b−a, l2 = d·d, t = (p−a)·d / l2, the clamp, then
+// the distance summed over p − (a + tc·d) in coordinate order), so T and
+// Dist match it bit for bit.
+func segmentFoot(p, a, b VecN) (t, dist float64, interior bool) {
+	if len(a) != len(p) || len(b) != len(p) {
+		panic(fmt.Sprintf("geometry: projecting a %d-D point onto a %d-D/%d-D segment", len(p), len(a), len(b)))
+	}
+	p, b = p[:len(a)], b[:len(a)]
+	var l2, pd float64
+	for i := range a {
+		d := b[i] - a[i]
+		l2 += d * d
+		pd += (p[i] - a[i]) * d
+	}
+	var s float64
+	if l2 <= Eps*Eps {
+		for i := range p {
+			e := p[i] - a[i]
+			s += e * e
+		}
+		return 0, math.Sqrt(s), false
+	}
+	t = pd / l2
+	tc := math.Max(0, math.Min(1, t))
+	for i := range p {
+		e := p[i] - (a[i] + tc*(b[i]-a[i]))
+		s += e * e
+	}
+	return t, math.Sqrt(s), t > 0 && t < 1
 }
 
 // DistToN returns the distance from p to pl.
 func (pl PolylineN) DistToN(p VecN) float64 {
-	_, pr, ok := pl.NearestSegmentN(p)
+	pr, ok := pl.Project(p)
 	if !ok {
 		return math.Inf(1)
 	}
-	return pr.Dist
+	return pr.Nearest.Dist
 }
 
 // Project2D returns the 2D polyline of coordinates (i, j) of each point,

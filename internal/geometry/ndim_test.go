@@ -55,9 +55,9 @@ func TestPolylineN(t *testing.T) {
 	if pl.LengthN() != 7 {
 		t.Fatalf("LengthN = %v, want 7", pl.LengthN())
 	}
-	i, pr, ok := pl.NearestSegmentN(VecN{1.5, 1, 0})
-	if !ok || i != 0 || pr.Dist != 1 {
-		t.Fatalf("NearestSegmentN = %d %+v", i, pr)
+	pr, ok := pl.Project(VecN{1.5, 1, 0})
+	if !ok || pr.Nearest.Seg != 0 || pr.Nearest.Dist != 1 {
+		t.Fatalf("Project = %+v", pr)
 	}
 	if d := (PolylineN{}).DistToN(VecN{}); !math.IsInf(d, 1) {
 		t.Fatalf("empty DistToN = %v", d)

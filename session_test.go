@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -176,8 +177,15 @@ func TestProgressChannelNeverBlocks(t *testing.T) {
 }
 
 func TestPrecomputeStreamsPerFrequencyProgress(t *testing.T) {
+	// Precompute's grid build may invoke the callback concurrently (the
+	// WithProgress contract), so the collector locks.
+	var mu sync.Mutex
 	var events []Progress
-	s, err := NewSession(PaperCUT(), WithProgress(func(p Progress) { events = append(events, p) }))
+	s, err := NewSession(PaperCUT(), WithProgress(func(p Progress) {
+		mu.Lock()
+		defer mu.Unlock()
+		events = append(events, p)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
