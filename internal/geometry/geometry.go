@@ -63,10 +63,30 @@ func (s Segment) Degenerate() bool { return s.Length() <= Eps }
 // Orientation classifies the turn a→b→c:
 // +1 counter-clockwise, -1 clockwise, 0 collinear (within Eps scaled by
 // the operand magnitudes).
+//
+// With d = b−a and e = c−a the tolerance is Eps·max(|d|·|e|, 1). The
+// Euclidean lengths cost two math.Hypot calls, but only cross products
+// near the tolerance need them: |d|·|e| lies between ½‖d‖∞‖e‖∞ and
+// 2‖d‖₁‖e‖₁ after rounding, so a cross product beyond the upper bound
+// or within the lower one is decided without them (a floating-point
+// filter in the manner of Shewchuk's adaptive predicates). NaN and
+// overflowed bounds fail both tests and take the exact formula, which is
+// why the bounds may use the builtin max: its NaN result is harmless
+// here.
 func Orientation(a, b, c Point) int {
-	v := b.Sub(a).Cross(c.Sub(a))
-	scale := b.Sub(a).Norm() * c.Sub(a).Norm()
-	tol := Eps * math.Max(scale, 1)
+	d, e := b.Sub(a), c.Sub(a)
+	v := d.Cross(e)
+	dx, dy, ex, ey := math.Abs(d.X), math.Abs(d.Y), math.Abs(e.X), math.Abs(e.Y)
+	hi := Eps * max(2*((dx+dy)*(ex+ey)), 1)
+	switch {
+	case v > hi:
+		return 1
+	case v < -hi:
+		return -1
+	case math.Abs(v) <= Eps*max(0.5*(max(dx, dy)*max(ex, ey)), 1):
+		return 0
+	}
+	tol := Eps * math.Max(d.Norm()*e.Norm(), 1)
 	switch {
 	case v > tol:
 		return 1
@@ -77,11 +97,61 @@ func Orientation(a, b, c Point) int {
 	}
 }
 
+// maxf and minf are math.Max and math.Min in a form the compiler
+// inlines into the per-pair predicates, with the same special cases: an
+// infinity in the direction of the extreme beats NaN (where the builtin
+// max and min return NaN), and NaN beats every other value. Of two equal
+// zeros of opposite sign either may be returned, which no comparison or
+// distance downstream can tell apart.
+func maxf(a, b float64) float64 {
+	switch {
+	case a > b || a == math.Inf(1):
+		return a
+	case a != a && b != math.Inf(1):
+		return a
+	}
+	return b
+}
+
+func minf(a, b float64) float64 {
+	switch {
+	case a < b || a == math.Inf(-1):
+		return a
+	case a != a && b != math.Inf(-1):
+		return a
+	}
+	return b
+}
+
+// normCmp compares v.Norm() with tol: +1 when v.Norm() > tol, -1 when
+// v.Norm() <= tol, 0 when neither holds (a NaN norm or tol). The norm
+// lies between ‖v‖∞ and 2‖v‖₁ after rounding, so most comparisons are
+// decided without math.Hypot; coordinates with a NaN always take it,
+// because Hypot ranks an infinite coordinate above a NaN one.
+func normCmp(v Point, tol float64) int {
+	ax, ay := math.Abs(v.X), math.Abs(v.Y)
+	if s := ax + ay; s == s {
+		if ax > tol || ay > tol {
+			return 1
+		}
+		if 2*s <= tol {
+			return -1
+		}
+	}
+	switch n := v.Norm(); {
+	case n > tol:
+		return 1
+	case n <= tol:
+		return -1
+	}
+	return 0
+}
+
 // onSegmentCollinear reports whether point p, known collinear with s, lies
 // within s's bounding box.
 func onSegmentCollinear(p Point, s Segment) bool {
-	return p.X <= math.Max(s.A.X, s.B.X)+Eps && p.X >= math.Min(s.A.X, s.B.X)-Eps &&
-		p.Y <= math.Max(s.A.Y, s.B.Y)+Eps && p.Y >= math.Min(s.A.Y, s.B.Y)-Eps
+	return p.X <= maxf(s.A.X, s.B.X)+Eps && p.X >= minf(s.A.X, s.B.X)-Eps &&
+		p.Y <= maxf(s.A.Y, s.B.Y)+Eps && p.Y >= minf(s.A.Y, s.B.Y)-Eps
 }
 
 // IntersectKind classifies how two segments meet.
@@ -135,14 +205,17 @@ func Intersect(s, t Segment) (IntersectKind, Point) {
 	// Collinearity / touching cases.
 	collinear := o1 == 0 && o2 == 0 && o3 == 0 && o4 == 0
 	if collinear {
-		// Project on the dominant axis to test overlap extent.
-		pts := []Point{}
-		for _, p := range []Point{t.A, t.B} {
+		// Project on the dominant axis to test overlap extent. The
+		// contact points live on the stack: this branch runs for every
+		// collinear segment pair the fitness function meets.
+		var buf [4]Point
+		pts := buf[:0]
+		for _, p := range [2]Point{t.A, t.B} {
 			if onSegmentCollinear(p, s) {
 				pts = append(pts, p)
 			}
 		}
-		for _, p := range []Point{s.A, s.B} {
+		for _, p := range [2]Point{s.A, s.B} {
 			if onSegmentCollinear(p, t) {
 				pts = append(pts, p)
 			}
@@ -153,7 +226,7 @@ func Intersect(s, t Segment) (IntersectKind, Point) {
 		// Distinct contact points → overlap; all coincident → touch.
 		first := pts[0]
 		for _, p := range pts[1:] {
-			if p.Dist(first) > Eps {
+			if normCmp(p.Sub(first), Eps) > 0 {
 				return CollinearOverlap, first
 			}
 		}
@@ -228,8 +301,8 @@ type BoundingBox struct {
 // BoxOf returns the bounding box of a segment.
 func BoxOf(s Segment) BoundingBox {
 	return BoundingBox{
-		Min: Point{math.Min(s.A.X, s.B.X), math.Min(s.A.Y, s.B.Y)},
-		Max: Point{math.Max(s.A.X, s.B.X), math.Max(s.A.Y, s.B.Y)},
+		Min: Point{minf(s.A.X, s.B.X), minf(s.A.Y, s.B.Y)},
+		Max: Point{maxf(s.A.X, s.B.X), maxf(s.A.Y, s.B.Y)},
 	}
 }
 
@@ -255,7 +328,7 @@ func (b BoundingBox) Contains(p Point) bool {
 // Union returns the smallest box containing both.
 func (b BoundingBox) Union(o BoundingBox) BoundingBox {
 	return BoundingBox{
-		Min: Point{math.Min(b.Min.X, o.Min.X), math.Min(b.Min.Y, o.Min.Y)},
-		Max: Point{math.Max(b.Max.X, o.Max.X), math.Max(b.Max.Y, o.Max.Y)},
+		Min: Point{minf(b.Min.X, o.Min.X), minf(b.Min.Y, o.Min.Y)},
+		Max: Point{maxf(b.Max.X, o.Max.X), maxf(b.Max.Y, o.Max.Y)},
 	}
 }

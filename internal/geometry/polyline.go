@@ -133,35 +133,19 @@ func IntersectionCount(a, b Polyline, countTouches bool) int {
 	return count
 }
 
-// SharedOriginIntersections counts intersections between two polylines
-// that both pass through a common point (the golden origin in the
-// fault-trajectory plane), excluding meetings that happen within tol of
-// that shared point — those are structural, not diagnostic ambiguity.
-// It allocates nothing.
-func SharedOriginIntersections(a, b Polyline, origin Point, tol float64) int {
-	count := 0
-	for i := 0; i+1 < len(a); i++ {
-		s := Segment{a[i], a[i+1]}
-		for j := 0; j+1 < len(b); j++ {
-			count += offOriginCount(s, Segment{b[j], b[j+1]}, origin, tol)
-		}
-	}
-	return count
-}
-
 // offOriginCount reports whether the segment pair contributes one
-// off-origin intersection (the per-pair kernel of
-// SharedOriginIntersections).
+// off-origin intersection: a point meeting farther than tol from origin,
+// or a collinear overlap with an endpoint farther than tol.
 func offOriginCount(s, t Segment, origin Point, tol float64) int {
 	k, p := Intersect(s, t)
 	switch k {
 	case ProperCrossing, EndpointTouch:
-		if p.Dist(origin) > tol {
+		if normCmp(p.Sub(origin), tol) > 0 {
 			return 1
 		}
 	case CollinearOverlap:
 		// Overlap away from the origin is a common pathway.
-		if furthestFromOrigin(s, t, origin) > tol {
+		if overlapLeavesOrigin(s, t, origin, tol) {
 			return 1
 		}
 	}
@@ -181,16 +165,22 @@ func (pl Polyline) SegmentBoxes(dst []BoundingBox) []BoundingBox {
 	return dst
 }
 
-// SharedOriginIntersectionsBoxed is SharedOriginIntersections with
-// caller-precomputed per-segment boxes (from SegmentBoxes) and
+// SharedOriginIntersectionsBoxed counts intersections between two
+// polylines that both pass through a common point (the golden origin in
+// the fault-trajectory plane), excluding meetings that happen within tol
+// of that shared point — those are structural, not diagnostic
+// ambiguity. Collinear overlaps count when a segment endpoint lies
+// farther than tol from origin.
+//
+// The caller passes per-segment boxes (from SegmentBoxes) and
 // whole-polyline boxes (the union of each polyline's segment boxes).
 // Segment pairs with disjoint boxes are skipped before any intersection
 // predicate runs, and when the two polylines' boxes only overlap within
 // tol of the origin — trajectories leaving the origin into different
 // regions of the plane — every point intersection is structural by
-// construction, so only collinear overlaps (counted by their farthest
-// segment endpoint) are still tested. Counts are identical to
-// SharedOriginIntersections; nothing is allocated.
+// construction, so only collinear overlaps are still tested. For finite
+// coordinates the boxes change no count (a segment with a NaN coordinate
+// has a NaN box and is skipped); nothing is allocated.
 func SharedOriginIntersectionsBoxed(a, b Polyline, aSeg, bSeg []BoundingBox, aBox, bBox BoundingBox, origin Point, tol float64) int {
 	if !aBox.Overlaps(bBox) {
 		return 0
@@ -201,9 +191,9 @@ func SharedOriginIntersectionsBoxed(a, b Polyline, aSeg, bSeg []BoundingBox, aBo
 	// structural — only CollinearOverlap can still count, because its
 	// counting criterion looks at segment endpoints, which may lie
 	// outside the overlap region.
-	lo := Point{math.Max(aBox.Min.X, bBox.Min.X), math.Max(aBox.Min.Y, bBox.Min.Y)}
-	hi := Point{math.Min(aBox.Max.X, bBox.Max.X), math.Min(aBox.Max.Y, bBox.Max.Y)}
-	collinearOnly := maxCornerDist(lo, hi, origin) <= tol
+	lo := Point{maxf(aBox.Min.X, bBox.Min.X), maxf(aBox.Min.Y, bBox.Min.Y)}
+	hi := Point{minf(aBox.Max.X, bBox.Max.X), minf(aBox.Max.Y, bBox.Max.Y)}
+	collinearOnly := cornersWithin(lo, hi, origin, tol)
 
 	count := 0
 	for i := range aSeg {
@@ -217,7 +207,7 @@ func SharedOriginIntersectionsBoxed(a, b Polyline, aSeg, bSeg []BoundingBox, aBo
 			}
 			t := Segment{b[j], b[j+1]}
 			if collinearOnly {
-				if k, _ := Intersect(s, t); k == CollinearOverlap && furthestFromOrigin(s, t, origin) > tol {
+				if k, _ := Intersect(s, t); k == CollinearOverlap && overlapLeavesOrigin(s, t, origin, tol) {
 					count++
 				}
 				continue
@@ -228,34 +218,30 @@ func SharedOriginIntersectionsBoxed(a, b Polyline, aSeg, bSeg []BoundingBox, aBo
 	return count
 }
 
-// maxCornerDist returns the largest distance from origin to the rectangle
-// [lo, hi] — attained at one of its corners.
-func maxCornerDist(lo, hi, origin Point) float64 {
-	d := origin.Dist(lo)
-	if v := origin.Dist(hi); v > d {
-		d = v
-	}
-	if v := origin.Dist(Point{lo.X, hi.Y}); v > d {
-		d = v
-	}
-	if v := origin.Dist(Point{hi.X, lo.Y}); v > d {
-		d = v
-	}
-	return d
+// cornersWithin reports whether the largest distance from origin to the
+// rectangle [lo, hi] — attained at one of its corners — is at most tol.
+// As with a running maximum seeded by the first corner, a NaN first
+// distance fails and later NaN distances are skipped.
+func cornersWithin(lo, hi, origin Point, tol float64) bool {
+	return normCmp(origin.Sub(lo), tol) < 0 &&
+		normCmp(origin.Sub(hi), tol) <= 0 &&
+		normCmp(origin.Sub(Point{lo.X, hi.Y}), tol) <= 0 &&
+		normCmp(origin.Sub(Point{hi.X, lo.Y}), tol) <= 0
 }
 
-func furthestFromOrigin(s, t Segment, origin Point) float64 {
-	d := s.A.Dist(origin)
-	if v := s.B.Dist(origin); v > d {
-		d = v
+// overlapLeavesOrigin reports whether the farthest endpoint of s and t
+// lies more than tol from origin. As with a running maximum seeded by
+// s.A, a NaN distance for s.A fails and later NaN distances are skipped.
+func overlapLeavesOrigin(s, t Segment, origin Point, tol float64) bool {
+	switch normCmp(s.A.Sub(origin), tol) {
+	case 1:
+		return true
+	case 0:
+		return false
 	}
-	if v := t.A.Dist(origin); v > d {
-		d = v
-	}
-	if v := t.B.Dist(origin); v > d {
-		d = v
-	}
-	return d
+	return normCmp(s.B.Sub(origin), tol) > 0 ||
+		normCmp(t.A.Sub(origin), tol) > 0 ||
+		normCmp(t.B.Sub(origin), tol) > 0
 }
 
 // SelfIntersections counts proper self-crossings of a polyline, ignoring

@@ -98,14 +98,19 @@ func TestSharedOriginIntersections(t *testing.T) {
 	// is at the origin, which must be excluded.
 	a := Polyline{{-1, -1}, {0, 0}, {1, 1}}
 	b := Polyline{{-1, 1}, {0, 0}, {1, -1}}
-	if got := SharedOriginIntersections(a, b, Point{0, 0}, 1e-9); got != 0 {
-		t.Fatalf("origin-only crossing counted: %d", got)
-	}
 	// Add a genuine off-origin crossing.
 	c := Polyline{{-1, 0.5}, {1, 0.5}}
 	d := Polyline{{0, 0}, {0.5, 1}}
-	if got := SharedOriginIntersections(c, d, Point{0, 0}, 1e-9); got != 1 {
-		t.Fatalf("off-origin crossing = %d, want 1", got)
+	for _, tc := range []struct {
+		a, b Polyline
+		want int
+	}{{a, b, 0}, {c, d, 1}} {
+		if got := oracleSharedOriginIntersections(tc.a, tc.b, Point{0, 0}, 1e-9); got != tc.want {
+			t.Fatalf("unboxed count(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+		if got := boxedCount(tc.a, tc.b, Point{0, 0}, 1e-9); got != tc.want {
+			t.Fatalf("boxed count(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
 	}
 }
 

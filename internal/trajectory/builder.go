@@ -196,29 +196,36 @@ func (c *intersectCache) build(m *Map) {
 	}
 }
 
-// count runs the paper's intersection count off the cache. The counts
-// are identical to the uncached path: the same projections feed the same
-// predicates, the boxes only skip pairs that cannot contribute.
+// count runs the paper's intersection count off the cache: the sum of
+// pair over every pair of distinct trajectories.
 func (c *intersectCache) count(m *Map) int {
 	nt := len(m.Trajectories)
-	np := len(c.pairs)
-	dim := m.Dim()
 	total := 0
 	for i := 0; i < nt; i++ {
 		for j := i + 1; j < nt; j++ {
-			for p := 0; p < np; p++ {
-				total += geometry.SharedOriginIntersectionsBoxed(
-					c.proj[i*np+p], c.proj[j*np+p],
-					c.seg[i*np+p], c.seg[j*np+p],
-					c.box[i*np+p], c.box[j*np+p],
-					geometry.Point{}, c.tol)
-			}
-			if dim == 1 {
-				// Intervals on a line: overlap beyond tol counts as one.
-				if overlap1(project1(m.Trajectories[i]), project1(m.Trajectories[j])) > c.tol {
-					total++
-				}
-			}
+			total += c.pair(m, i, j)
+		}
+	}
+	return total
+}
+
+// pair counts the off-origin intersections between trajectories i and
+// j: the planar counts summed over every coordinate plane, each
+// excluding its origin, and for k = 1 one more when the two intervals
+// on the line overlap by more than the tolerance.
+func (c *intersectCache) pair(m *Map, i, j int) int {
+	np := len(c.pairs)
+	total := 0
+	for p := 0; p < np; p++ {
+		total += geometry.SharedOriginIntersectionsBoxed(
+			c.proj[i*np+p], c.proj[j*np+p],
+			c.seg[i*np+p], c.seg[j*np+p],
+			c.box[i*np+p], c.box[j*np+p],
+			geometry.Point{}, c.tol)
+	}
+	if m.Dim() == 1 {
+		if overlap1(project1(m.Trajectories[i]), project1(m.Trajectories[j])) > c.tol {
+			total++
 		}
 	}
 	return total

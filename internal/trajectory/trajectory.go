@@ -127,12 +127,22 @@ func Build(ctx context.Context, d *dictionary.Dictionary, omegas []float64) (*Ma
 // ByComponent returns the trajectory of a named component; a miss wraps
 // rerr.ErrUnknownComponent.
 func (m *Map) ByComponent(comp string) (*Trajectory, error) {
-	for _, t := range m.Trajectories {
+	i, err := m.indexOf(comp)
+	if err != nil {
+		return nil, err
+	}
+	return m.Trajectories[i], nil
+}
+
+// indexOf returns the position of a named component's trajectory; a miss
+// wraps rerr.ErrUnknownComponent.
+func (m *Map) indexOf(comp string) (int, error) {
+	for i, t := range m.Trajectories {
 		if t.Component == comp {
-			return t, nil
+			return i, nil
 		}
 	}
-	return nil, fmt.Errorf("trajectory: %w: no trajectory for component %q", rerr.ErrUnknownComponent, comp)
+	return 0, fmt.Errorf("trajectory: %w: no trajectory for component %q", rerr.ErrUnknownComponent, comp)
 }
 
 // Dim returns the test-vector dimension.
@@ -166,53 +176,33 @@ func (m *Map) originTolerance() float64 {
 // projections, segment bounding boxes) and allocate nothing; other maps
 // compute the same cache on the fly. Counts are identical either way.
 func (m *Map) Intersections() int {
-	if m.cache != nil {
-		return m.cache.count(m)
-	}
-	var c intersectCache
-	c.build(m)
-	return c.count(m)
+	return m.cacheOrBuild().count(m)
 }
 
 // PairIntersections counts off-origin intersections between the named
-// pair of components.
+// pair of components — their share of Intersections.
 func (m *Map) PairIntersections(a, b string) (int, error) {
-	ta, err := m.ByComponent(a)
+	i, err := m.indexOf(a)
 	if err != nil {
 		return 0, err
 	}
-	tb, err := m.ByComponent(b)
+	j, err := m.indexOf(b)
 	if err != nil {
 		return 0, err
 	}
-	return pairIntersections(ta, tb, m.Dim(), m.originTolerance()), nil
+	return m.cacheOrBuild().pair(m, i, j), nil
 }
 
-func pairIntersections(a, b *Trajectory, dim int, tol float64) int {
-	if dim == 2 {
-		pa := a.Points.Project2D(0, 1)
-		pb := b.Points.Project2D(0, 1)
-		return geometry.SharedOriginIntersections(pa, pb, geometry.Point{}, tol)
+// cacheOrBuild returns the map's attached intersection cache, or a
+// fresh one for maps without (the map itself is not modified, so
+// concurrent readers and persisted artifacts are unaffected).
+func (m *Map) cacheOrBuild() *intersectCache {
+	if m.cache != nil {
+		return m.cache
 	}
-	// k != 2: sum the planar counts over coordinate-plane projections,
-	// excluding each plane's origin.
-	total := 0
-	for i := 0; i < dim; i++ {
-		for j := i + 1; j < dim; j++ {
-			pa := a.Points.Project2D(i, j)
-			pb := b.Points.Project2D(i, j)
-			total += geometry.SharedOriginIntersections(pa, pb, geometry.Point{}, tol)
-		}
-	}
-	if dim == 1 {
-		// Intervals on a line: overlap length beyond tol counts as one.
-		pa := project1(a)
-		pb := project1(b)
-		if overlap1(pa, pb) > tol {
-			total++
-		}
-	}
-	return total
+	c := new(intersectCache)
+	c.build(m)
+	return c
 }
 
 func project1(t *Trajectory) [2]float64 {

@@ -203,6 +203,39 @@ func TestPairIntersections(t *testing.T) {
 	}
 }
 
+// TestPairIntersectionsSumToIntersections: the per-pair counts are the
+// pair's share of I, on cache-less and Builder maps alike, for k = 1
+// (interval overlap), 2 and 3 (three coordinate planes).
+func TestPairIntersectionsSumToIntersections(t *testing.T) {
+	d := paperDict(t)
+	b := NewBuilder(d)
+	for _, omegas := range [][]float64{{1}, {2, 5}, {0.3, 1, 3}} {
+		plain, err := Build(nil, d, omegas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := b.Build(nil, omegas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*Map{plain, cached} {
+			sum := 0
+			for i, ti := range m.Trajectories {
+				for _, tj := range m.Trajectories[i+1:] {
+					n, err := m.PairIntersections(ti.Component, tj.Component)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum += n
+				}
+			}
+			if want := m.Intersections(); sum != want || want == 0 {
+				t.Fatalf("ω = %v: pair counts sum to %d, Intersections = %d (want equal and nonzero)", omegas, sum, want)
+			}
+		}
+	}
+}
+
 func TestMinSeparationAndExtent(t *testing.T) {
 	d := paperDict(t)
 	m, _ := Build(nil, d, []float64{0.5, 2})

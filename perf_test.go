@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ga"
+	"repro/internal/geometry"
 	"repro/internal/trajectory"
 )
 
@@ -17,41 +18,94 @@ import (
 // back into hundreds of thousands of allocations per GA run (128
 // individuals × 15 generations), which is exactly what the
 // engine/dictionary/trajectory reuse APIs exist to prevent.
+//
+// The paper CUT's map at this vector has no collinear segment pairs, so
+// a second fixture, khn-lowpass, whose map has many, keeps the collinear
+// branch of the intersection predicates under the guard too.
 func TestFitnessPathAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	s, err := NewSession(PaperCUT())
+	khn, err := BenchmarkByName("khn-lowpass")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := trajectory.NewBuilder(s.Dictionary())
-	omegas := []float64{0.5, 2}
-	eval := func() {
-		m, err := b.Build(nil, omegas)
+	for _, tc := range []struct {
+		cut           CUT
+		wantCollinear bool
+	}{{PaperCUT(), false}, {khn, true}} {
+		name := tc.cut.Circuit.Name()
+		s, err := NewSession(tc.cut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := m.Intersections(); n < 0 {
-			t.Fatal("negative intersection count")
+		b := trajectory.NewBuilder(s.Dictionary())
+		omegas := []float64{0.5, 2}
+		eval := func() {
+			m, err := b.Build(nil, omegas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := m.Intersections(); n < 0 {
+				t.Fatal("negative intersection count")
+			}
+		}
+		// Warm up the builder's scratch, then vary the test vector per
+		// run so nothing can hide behind value-keyed caching.
+		eval()
+		if tc.wantCollinear {
+			m, err := trajectory.Build(nil, s.Dictionary(), omegas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := collinearSegmentPairs(t, m); n == 0 {
+				t.Fatalf("%s: map at %v has no collinear segment pairs; the fixture no longer reaches the collinear branch", name, omegas)
+			}
+		}
+		i := 0
+		avg := testing.AllocsPerRun(100, func() {
+			i++
+			omegas[0] = 0.5 + float64(i%100)*1e-5
+			omegas[1] = 2 + float64(i%100)*1e-5
+			eval()
+		})
+		// A strict 0 would flake when the GC empties the engine's
+		// workspace pool mid-measurement; anything under one allocation
+		// per evaluation still proves the steady state reuses its
+		// storage.
+		if avg >= 1 {
+			t.Fatalf("%s: fitness path allocates %.2f objects/run in steady state, want < 1", name, avg)
 		}
 	}
-	// Warm up the builder's scratch, then vary the test vector per run so
-	// nothing can hide behind value-keyed caching.
-	eval()
-	i := 0
-	avg := testing.AllocsPerRun(100, func() {
-		i++
-		omegas[0] = 0.5 + float64(i%100)*1e-5
-		omegas[1] = 2 + float64(i%100)*1e-5
-		eval()
-	})
-	// A strict 0 would flake when the GC empties the engine's workspace
-	// pool mid-measurement; anything under one allocation per evaluation
-	// still proves the steady state reuses its storage.
-	if avg >= 1 {
-		t.Fatalf("fitness path allocates %.2f objects/run in steady state, want < 1", avg)
+}
+
+// collinearSegmentPairs counts the segment pairs of distinct planar
+// trajectories whose four endpoint orientations are all zero — the pairs
+// geometry.Intersect classifies in its collinear branch.
+func collinearSegmentPairs(t *testing.T, m *trajectory.Map) int {
+	t.Helper()
+	pls := make([]geometry.Polyline, len(m.Trajectories))
+	for i, tr := range m.Trajectories {
+		pl, err := tr.Planar()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pls[i] = pl
 	}
+	n := 0
+	for i := range pls {
+		for j := i + 1; j < len(pls); j++ {
+			for _, s := range pls[i].Segments() {
+				for _, u := range pls[j].Segments() {
+					if geometry.Orientation(s.A, s.B, u.A) == 0 && geometry.Orientation(s.A, s.B, u.B) == 0 &&
+						geometry.Orientation(u.A, u.B, s.A) == 0 && geometry.Orientation(u.A, u.B, s.B) == 0 {
+						n++
+					}
+				}
+			}
+		}
+	}
+	return n
 }
 
 // TestOptimizeBatchedMatchesPerIndividualGA: ATPG.Optimize evaluates
