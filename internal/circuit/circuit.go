@@ -267,64 +267,65 @@ func (s *System) stampAll(st *Stamp) error {
 // circuit must reference ground somewhere (otherwise the MNA matrix is
 // singular by construction).
 func (c *Circuit) Validate() error {
-	touch := make(map[string]int)
+	// Nodes get dense ids in order of first touch; ground is id 0.
+	// Connectivity: every node must be reachable from ground through
+	// element adjacency, or its subnetwork floats and the matrix is
+	// singular. All terminals of one element join one component of a
+	// union-find over the ids, built in the same pass as the per-node
+	// terminal counts.
+	id := make(map[string]int32, len(c.nodeSet))
+	names := make([]string, 1, len(c.nodeSet)+1)
+	touch := make([]int, 1, len(c.nodeSet)+1)
+	parent := make([]int32, 1, len(c.nodeSet)+1)
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]] // path halving
+			x = parent[x]
+		}
+		return x
+	}
 	groundSeen := false
 	for _, e := range c.elements {
+		first := int32(-1)
 		for _, n := range e.Nodes() {
+			k := int32(0)
 			if isGround(n) {
 				groundSeen = true
-				continue
+			} else {
+				var ok bool
+				if k, ok = id[n]; !ok {
+					k = int32(len(names))
+					id[n] = k
+					names = append(names, n)
+					touch = append(touch, 0)
+					parent = append(parent, k)
+				}
+				touch[k]++
 			}
-			touch[n]++
+			if first < 0 {
+				first = k
+			} else if ra, rb := find(first), find(k); ra != rb {
+				parent[rb] = ra
+			}
 		}
 	}
 	if !groundSeen {
 		return fmt.Errorf("circuit %s: no element connects to ground", c.name)
 	}
 	var dangling []string
-	for n, cnt := range touch {
-		if cnt < 2 {
-			dangling = append(dangling, n)
+	for k := 1; k < len(touch); k++ {
+		if touch[k] < 2 {
+			dangling = append(dangling, names[k])
 		}
 	}
 	if len(dangling) > 0 {
 		sort.Strings(dangling)
 		return fmt.Errorf("circuit %s: dangling nodes (single connection): %v", c.name, dangling)
 	}
-	// Connectivity: every node must be reachable from ground through
-	// element adjacency, or its subnetwork floats and the matrix is
-	// singular.
-	adj := make(map[string][]string)
-	addEdge := func(a, b string) {
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	for _, e := range c.elements {
-		nodes := e.Nodes()
-		for i := 0; i+1 < len(nodes); i++ {
-			addEdge(canon(nodes[i]), canon(nodes[i+1]))
-		}
-		// Close the loop so that all terminals of one element are in the
-		// same component.
-		if len(nodes) > 2 {
-			addEdge(canon(nodes[0]), canon(nodes[len(nodes)-1]))
-		}
-	}
-	seen := map[string]bool{GroundName: true}
-	stack := []string{GroundName}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, m := range adj[n] {
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
-			}
-		}
-	}
+	root := find(0)
 	var floating []string
 	for n := range c.nodeSet {
-		if !seen[n] {
+		if k, ok := id[n]; !ok || find(k) != root {
 			floating = append(floating, n)
 		}
 	}
@@ -333,13 +334,6 @@ func (c *Circuit) Validate() error {
 		return fmt.Errorf("circuit %s: nodes not connected to ground: %v", c.name, floating)
 	}
 	return nil
-}
-
-func canon(n string) string {
-	if isGround(n) {
-		return GroundName
-	}
-	return n
 }
 
 // Summary returns a human-readable one-line-per-element description.

@@ -209,3 +209,23 @@ func TestColdAllocationBytes(t *testing.T) {
 		t.Fatal(batchErr)
 	}
 }
+
+// BenchmarkEngineNewCold is a cold engine compile — Assemble and
+// validation, template compile and verification, symbolic analysis — of
+// the large grid CUTs: the compile every one-shot CLI run pays.
+func BenchmarkEngineNewCold(b *testing.B) {
+	for _, name := range []string{"rc-grid-32", "rc-grid-64"} {
+		cut, err := circuits.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(cut.Circuit, cut.Source, cut.Output); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

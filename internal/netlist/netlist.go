@@ -90,7 +90,10 @@ func ParseValue(s string) (float64, error) {
 		mult, t = 1e12, strings.TrimSuffix(t, "t")
 	}
 	v, err := strconv.ParseFloat(t, 64)
-	if err != nil {
+	// A component value must be finite: "inf", or "nan" under a suffix
+	// ("nanm"), would otherwise parse into a value Serialize writes back
+	// as text no parser accepts.
+	if err != nil || math.IsInf(v*mult, 0) || math.IsNaN(v) {
 		return 0, fmt.Errorf("bad number %q", s)
 	}
 	return v * mult, nil
@@ -172,7 +175,7 @@ func Parse(input string) (*circuit.Circuit, error) {
 	for _, sl := range top {
 		card := sl.text
 		lower := strings.ToLower(card)
-		if strings.HasPrefix(lower, "x") {
+		if strings.HasPrefix(lower, "x") && !isExpandedElement(card, defs) {
 			if err := expandInstance(c, sl.line, card, defs, 0); err != nil {
 				return nil, err
 			}
@@ -228,10 +231,39 @@ func isCard(line string) bool {
 	return false
 }
 
+// elementKind is the lower-case designator that selects a card's
+// element type: the name's first letter or, for a dotted X name — an
+// element Serialize wrote from an expanded subcircuit instance, such as
+// "X1.R1" or "Xtop.X2.C1" — the first letter after its last dot.
+func elementKind(name string) string {
+	kind := strings.ToLower(name[:1])
+	if i := strings.LastIndexByte(name, '.'); kind == "x" && i >= 0 && i+1 < len(name) {
+		kind = strings.ToLower(name[i+1 : i+2])
+	}
+	return kind
+}
+
+// isExpandedElement reports whether a top-level X card is an element of
+// an expanded subcircuit instance, as Serialize writes them: its dotted
+// name carries an element designator after the last dot, and its last
+// field names no defined subcircuit. Every other X card is an instance.
+func isExpandedElement(card string, defs map[string]*subckt) bool {
+	fields := strings.Fields(card)
+	if len(fields) < 2 {
+		return false
+	}
+	switch elementKind(fields[0]) {
+	case "r", "c", "l", "v", "i", "e", "g", "h", "f", "o", "u":
+		_, isSubckt := defs[strings.ToLower(fields[len(fields)-1])]
+		return !isSubckt
+	}
+	return false
+}
+
 func parseCard(line int, card string) (circuit.Element, error) {
 	fields := strings.Fields(card)
 	name := fields[0]
-	kind := strings.ToLower(name[:1])
+	kind := elementKind(name)
 	args := fields[1:]
 	need := func(n int) error {
 		if len(args) < n {
@@ -277,7 +309,11 @@ func parseCard(line int, card string) (circuit.Element, error) {
 			if err != nil {
 				return nil, err
 			}
-			amp = cmplx.Rect(mag, deg*math.Pi/180)
+			rad := deg * math.Pi / 180
+			if math.IsInf(rad, 0) {
+				return nil, errAt(line, card, "phase %s out of range", args[3])
+			}
+			amp = cmplx.Rect(mag, rad)
 		}
 		if kind == "v" {
 			return circuit.NewVSource(name, args[0], args[1], amp), nil
@@ -318,34 +354,60 @@ func parseCard(line int, card string) (circuit.Element, error) {
 }
 
 // Serialize renders a circuit back into netlist text. Round-tripping
-// through Parse yields an equivalent circuit.
+// through Parse yields an equivalent circuit. The text feeds artifact
+// checksums, so its bytes are a compatibility surface: values print
+// through FormatValue, phases and controlled-source gains as
+// strconv's shortest 'g' form (what fmt's %g prints).
 func Serialize(c *circuit.Circuit) (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", c.Name())
+	b.Grow(32 * (len(c.Elements()) + 2))
+	b.WriteString(c.Name())
+	b.WriteByte('\n')
+	var num [32]byte
+	// card writes one line: the fields space-separated, then the
+	// %g-formatted trailing numbers.
+	card := func(fields []string, gs ...float64) {
+		for i, f := range fields {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(f)
+		}
+		for _, g := range gs {
+			b.WriteByte(' ')
+			b.Write(strconv.AppendFloat(num[:0], g, 'g', -1, 64))
+		}
+		b.WriteByte('\n')
+	}
 	for _, e := range c.Elements() {
 		switch el := e.(type) {
 		case *circuit.Resistor:
-			fmt.Fprintf(&b, "%s %s %s %s\n", el.Name(), el.Nodes()[0], el.Nodes()[1], FormatValue(el.Ohms))
+			nodes := el.Nodes()
+			card([]string{el.Name(), nodes[0], nodes[1], FormatValue(el.Ohms)})
 		case *circuit.Capacitor:
-			fmt.Fprintf(&b, "%s %s %s %s\n", el.Name(), el.Nodes()[0], el.Nodes()[1], FormatValue(el.Farads))
+			nodes := el.Nodes()
+			card([]string{el.Name(), nodes[0], nodes[1], FormatValue(el.Farads)})
 		case *circuit.Inductor:
-			fmt.Fprintf(&b, "%s %s %s %s\n", el.Name(), el.Nodes()[0], el.Nodes()[1], FormatValue(el.Henries))
+			nodes := el.Nodes()
+			card([]string{el.Name(), nodes[0], nodes[1], FormatValue(el.Henries)})
 		case *circuit.VSource:
+			nodes := el.Nodes()
 			mag, ph := cmplx.Polar(el.Amplitude)
-			fmt.Fprintf(&b, "%s %s %s %s %g\n", el.Name(), el.Nodes()[0], el.Nodes()[1], FormatValue(mag), ph*180/math.Pi)
+			card([]string{el.Name(), nodes[0], nodes[1], FormatValue(mag)}, ph*180/math.Pi)
 		case *circuit.ISource:
+			nodes := el.Nodes()
 			mag, ph := cmplx.Polar(el.Amplitude)
-			fmt.Fprintf(&b, "%s %s %s %s %g\n", el.Name(), el.Nodes()[0], el.Nodes()[1], FormatValue(mag), ph*180/math.Pi)
+			card([]string{el.Name(), nodes[0], nodes[1], FormatValue(mag)}, ph*180/math.Pi)
 		case *circuit.VCVS:
-			fmt.Fprintf(&b, "%s %s %s %s %s %g\n", el.Name(), el.OutP, el.OutN, el.CtlP, el.CtlN, el.Gain)
+			card([]string{el.Name(), el.OutP, el.OutN, el.CtlP, el.CtlN}, el.Gain)
 		case *circuit.VCCS:
-			fmt.Fprintf(&b, "%s %s %s %s %s %g\n", el.Name(), el.OutP, el.OutN, el.CtlP, el.CtlN, el.Gm)
+			card([]string{el.Name(), el.OutP, el.OutN, el.CtlP, el.CtlN}, el.Gm)
 		case *circuit.CCVS:
-			fmt.Fprintf(&b, "%s %s %s %s %g\n", el.Name(), el.OutP, el.OutN, el.Control, el.R)
+			card([]string{el.Name(), el.OutP, el.OutN, el.Control}, el.R)
 		case *circuit.CCCS:
-			fmt.Fprintf(&b, "%s %s %s %s %g\n", el.Name(), el.OutP, el.OutN, el.Control, el.Gain)
+			card([]string{el.Name(), el.OutP, el.OutN, el.Control}, el.Gain)
 		case *circuit.IdealOpAmp:
-			fmt.Fprintf(&b, "%s %s %s %s\n", el.Name(), el.InP, el.InN, el.Out)
+			card([]string{el.Name(), el.InP, el.InN, el.Out})
 		default:
 			return "", fmt.Errorf("netlist: cannot serialize element %s of type %T", e.Name(), e)
 		}

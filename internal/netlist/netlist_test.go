@@ -39,7 +39,8 @@ func TestParseValue(t *testing.T) {
 			t.Errorf("netlist.ParseValue(%q) = %g, want %g", in, got, want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "1.2.3", "k"} {
+	// Non-finite values are rejected however they are spelled.
+	for _, bad := range []string{"", "abc", "1.2.3", "k", "inf", "-Infk", "nanm", "1e308k"} {
 		if _, err := netlist.ParseValue(bad); err == nil {
 			t.Errorf("netlist.ParseValue(%q) accepted", bad)
 		}

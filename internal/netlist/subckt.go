@@ -25,6 +25,11 @@ type srcLine struct {
 // maxSubcktDepth bounds recursive instantiation (and catches cycles).
 const maxSubcktDepth = 16
 
+// maxExpandedElements bounds the circuit subcircuit expansion may grow:
+// within the depth bound, a few instances per level still multiply into
+// billions of elements.
+const maxExpandedElements = 1 << 17
+
 // extractSubckts splits the logical lines into top-level cards and
 // subcircuit definitions. Nested .subckt definitions are rejected for
 // clarity (SPICE dialects differ here; flat libraries are the common
@@ -119,6 +124,9 @@ func expandInstance(c *circuit.Circuit, line int, card string, defs map[string]*
 				return err
 			}
 			continue
+		}
+		if len(c.Elements()) >= maxExpandedElements {
+			return errAt(line, card, "subcircuit expansion exceeds %d elements", maxExpandedElements)
 		}
 		el, err := parseCard(sl.line, sl.text)
 		if err != nil {

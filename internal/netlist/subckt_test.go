@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"math/cmplx"
 	"strings"
 	"testing"
@@ -19,6 +20,118 @@ Xb mid tap half
 RL tap 0 1meg
 .end
 `
+
+const subcktRCBlock = `t
+.subckt rcblock a b
+R1 a m 1k
+C1 m b 1u
+.ends
+V1 in 0 1
+X1 in out rcblock
+RL out 0 1k
+`
+
+const subcktGroundBlock = `t
+.subckt gblock a
+R1 a 0 1k
+.ends
+V1 in 0 1
+X1 in gblock
+`
+
+const subcktNested = `t
+.subckt unit a b
+R1 a b 1k
+.ends
+.subckt pair a b
+X1 a m unit
+X2 m b unit
+.ends
+V1 in 0 1
+Xtop in out pair
+RL out 0 1k
+`
+
+const subcktOpAmpLibrary = `t
+.subckt inv2 in out
+Ri in sum 1k
+Rf sum out 2k
+U1 0 sum out
+.ends
+.subckt inv3 in out
+Ri in sum 1k
+Rf sum out 3k
+U1 0 sum out
+.ends
+V1 in 0 1
+X1 in a inv2
+X2 a out inv3
+RL out 0 1k
+`
+
+const subcktCycle = `t
+.subckt loop a b
+X1 a b loop
+.ends
+V1 in 0 1
+X1 in out loop
+RL out 0 1
+`
+
+// subcktErrorCases are netlists Parse must reject.
+var subcktErrorCases = map[string]string{
+	"nested defs": `t
+.subckt a x
+.subckt b y
+.ends
+.ends
+R1 q 0 1
+V1 q 0 1
+`,
+	"missing ends": `t
+.subckt a x
+R1 x 0 1
+V1 q 0 1
+Rq q 0 1
+`,
+	"dup subckt": `t
+.subckt a x
+R1 x 0 1
+.ends
+.subckt a y
+R1 y 0 1
+.ends
+V1 q 0 1
+Rq q 0 1
+`,
+	"unknown subckt": `t
+V1 q 0 1
+X1 q nothere
+Rq q 0 1
+`,
+	"port mismatch": `t
+.subckt a x y
+R1 x y 1
+.ends
+V1 q 0 1
+X1 q a
+Rq q 0 1
+`,
+	"short subckt header": `t
+.subckt a
+.ends
+V1 q 0 1
+Rq q 0 1
+`,
+	"short X card": `t
+.subckt a x
+R1 x 0 1
+.ends
+V1 q 0 1
+X1 a
+Rq q 0 1
+`,
+}
 
 func TestSubcktExpansion(t *testing.T) {
 	c, err := Parse(subcktNetlist)
@@ -53,15 +166,7 @@ func TestSubcktExpansion(t *testing.T) {
 }
 
 func TestSubcktInternalNodesPrefixed(t *testing.T) {
-	nl := `t
-.subckt rcblock a b
-R1 a m 1k
-C1 m b 1u
-.ends
-V1 in 0 1
-X1 in out rcblock
-RL out 0 1k
-`
+	nl := subcktRCBlock
 	c, err := Parse(nl)
 	if err != nil {
 		t.Fatal(err)
@@ -72,13 +177,7 @@ RL out 0 1k
 }
 
 func TestSubcktGroundNotMapped(t *testing.T) {
-	nl := `t
-.subckt gblock a
-R1 a 0 1k
-.ends
-V1 in 0 1
-X1 in gblock
-`
+	nl := subcktGroundBlock
 	c, err := Parse(nl)
 	if err != nil {
 		t.Fatal(err)
@@ -89,18 +188,7 @@ X1 in gblock
 }
 
 func TestNestedSubcktInstances(t *testing.T) {
-	nl := `t
-.subckt unit a b
-R1 a b 1k
-.ends
-.subckt pair a b
-X1 a m unit
-X2 m b unit
-.ends
-V1 in 0 1
-Xtop in out pair
-RL out 0 1k
-`
+	nl := subcktNested
 	c, err := Parse(nl)
 	if err != nil {
 		t.Fatal(err)
@@ -127,22 +215,7 @@ RL out 0 1k
 func TestSubcktOpAmpLibrary(t *testing.T) {
 	// A realistic use: an inverting-amplifier subcircuit around an ideal
 	// opamp, instantiated twice for gain (-2)·(-3) = 6.
-	nl := `t
-.subckt inv2 in out
-Ri in sum 1k
-Rf sum out 2k
-U1 0 sum out
-.ends
-.subckt inv3 in out
-Ri in sum 1k
-Rf sum out 3k
-U1 0 sum out
-.ends
-V1 in 0 1
-X1 in a inv2
-X2 a out inv3
-RL out 0 1k
-`
+	nl := subcktOpAmpLibrary
 	c, err := Parse(nl)
 	if err != nil {
 		t.Fatal(err)
@@ -161,60 +234,7 @@ RL out 0 1k
 }
 
 func TestSubcktErrors(t *testing.T) {
-	cases := map[string]string{
-		"nested defs": `t
-.subckt a x
-.subckt b y
-.ends
-.ends
-R1 q 0 1
-V1 q 0 1
-`,
-		"missing ends": `t
-.subckt a x
-R1 x 0 1
-V1 q 0 1
-Rq q 0 1
-`,
-		"dup subckt": `t
-.subckt a x
-R1 x 0 1
-.ends
-.subckt a y
-R1 y 0 1
-.ends
-V1 q 0 1
-Rq q 0 1
-`,
-		"unknown subckt": `t
-V1 q 0 1
-X1 q nothere
-Rq q 0 1
-`,
-		"port mismatch": `t
-.subckt a x y
-R1 x y 1
-.ends
-V1 q 0 1
-X1 q a
-Rq q 0 1
-`,
-		"short subckt header": `t
-.subckt a
-.ends
-V1 q 0 1
-Rq q 0 1
-`,
-		"short X card": `t
-.subckt a x
-R1 x 0 1
-.ends
-V1 q 0 1
-X1 a
-Rq q 0 1
-`,
-	}
-	for name, nl := range cases {
+	for name, nl := range subcktErrorCases {
 		if _, err := Parse(nl); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -222,14 +242,7 @@ Rq q 0 1
 }
 
 func TestSubcktCycleDetected(t *testing.T) {
-	nl := `t
-.subckt loop a b
-X1 a b loop
-.ends
-V1 in 0 1
-X1 in out loop
-RL out 0 1
-`
+	nl := subcktCycle
 	_, err := Parse(nl)
 	if err == nil || !strings.Contains(err.Error(), "nesting") {
 		t.Fatalf("err = %v, want nesting complaint", err)
@@ -256,5 +269,21 @@ R9 zz 0 1
 	}
 	if _, ok := c.Element("X1.R1"); !ok {
 		t.Fatal("subckt instance missing")
+	}
+}
+
+// TestSubcktExpansionBounded pins the expansion budget: eleven levels of
+// three instances each would expand to 3^11 resistors, and Parse must
+// refuse them with an error instead of building them.
+func TestSubcktExpansionBounded(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("t\n.subckt s0 a b\nR1 a b 1k\n.ends\n")
+	for l := 1; l <= 11; l++ {
+		fmt.Fprintf(&b, ".subckt s%d a b\nX1 a b s%d\nX2 a b s%d\nX3 a b s%d\n.ends\n", l, l-1, l-1, l-1)
+	}
+	b.WriteString("V1 in 0 1\nXtop in 0 s11\n")
+	_, err := Parse(b.String())
+	if err == nil || !strings.Contains(err.Error(), "expansion exceeds") {
+		t.Fatalf("err = %v, want expansion bound", err)
 	}
 }

@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -83,27 +84,32 @@ func AnalyzeSparse(n int, rows [][]int) (*SparseSymbolic, error) {
 	if len(rows) != n {
 		return nil, fmt.Errorf("numeric: analyze n=%d with %d pattern rows: %w", n, len(rows), ErrDimension)
 	}
-	// Deduplicated, sorted adjacency; validates indices. seen[j] == i+1
-	// marks column j as already taken in row i, so one O(n) marker array
-	// serves every row.
+	// Deduplicated, sorted adjacency in one backing array; validates
+	// indices. seen[j] == i+1 marks column j as already taken in row i,
+	// so one O(n) marker array serves every row.
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	back := make([]int, 0, total)
 	adj := make([][]int, n)
 	seen := make([]int, n)
-	annz := 0
 	for i, r := range rows {
-		var out []int
+		lo := len(back)
 		for _, j := range r {
 			if j < 0 || j >= n {
 				return nil, fmt.Errorf("numeric: pattern entry (%d,%d) out of range n=%d: %w", i, j, n, ErrDimension)
 			}
 			if seen[j] != i+1 {
 				seen[j] = i + 1
-				out = append(out, j)
+				back = append(back, j)
 			}
 		}
-		sort.Ints(out)
+		out := back[lo:len(back):len(back)]
+		slices.Sort(out)
 		adj[i] = out
-		annz += len(out)
 	}
+	annz := len(back)
 
 	match, err := maxTransversal(n, adj)
 	if err != nil {
@@ -135,21 +141,22 @@ func AnalyzeSparse(n int, rows [][]int) (*SparseSymbolic, error) {
 		sym.invCol[sym.colperm[i]] = i
 	}
 	sym.symbolicFill(adj)
-	sym.postorderReorder(adj)
+	sym.postorderRelabel()
+	sym.symbolicFill(adj)
 	sym.buildSupernodes()
 	return sym, nil
 }
 
-// postorderReorder relabels the elimination order by a postorder of the
-// elimination tree (parent(i) = first off-diagonal column of U(i)) and
-// recomputes the symbolic fill. For the (near-)symmetric patterns MNA
-// produces this is the classic fill-preserving relabeling that makes
-// the members of each fundamental supernode consecutive — without it,
-// minimum degree interleaves structurally identical rows and the
-// supernodal phase degenerates to singletons. Any relabeling is correct
-// (the fill is recomputed); this one only changes which equivalent
-// order we factor in.
-func (s *SparseSymbolic) postorderReorder(adj [][]int) {
+// postorderRelabel relabels the elimination order by a postorder of the
+// elimination tree (parent(i) = first off-diagonal column of U(i)); the
+// caller then recomputes the symbolic fill. For the (near-)symmetric
+// patterns MNA produces this is the classic fill-preserving relabeling
+// that makes the members of each fundamental supernode consecutive —
+// without it, minimum degree interleaves structurally identical rows
+// and the supernodal phase degenerates to singletons. Any relabeling is
+// correct (the fill is recomputed); this one only changes which
+// equivalent order we factor in.
+func (s *SparseSymbolic) postorderRelabel() {
 	n := s.n
 	parent := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -206,21 +213,29 @@ func (s *SparseSymbolic) postorderReorder(adj [][]int) {
 		s.invRow[s.rowperm[i]] = i
 		s.invCol[s.colperm[i]] = i
 	}
-	// The refill reuses the pattern storage in place: rows are rewritten
-	// in order and row i only reads rows k < i, already rewritten.
-	s.cols = s.cols[:0]
-	s.symbolicFill(adj)
 }
 
 // maxTransversal finds a perfect matching column→row over the pattern
 // (Duff's algorithm: one augmenting-path search per column). match[j] is
 // the original row placed at permuted-row position j.
 func maxTransversal(n int, adj [][]int) ([]int, error) {
-	// rowsOfCol: columns → rows whose pattern contains them.
-	rowsOfCol := make([][]int, n)
+	// Column j's rows, ascending: rowsOf[colStart[j]:colStart[j+1]].
+	colStart := make([]int, n+1)
+	for _, r := range adj {
+		for _, j := range r {
+			colStart[j+1]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		colStart[j+1] += colStart[j]
+	}
+	rowsOf := make([]int, colStart[n])
+	fill := make([]int, n)
+	copy(fill, colStart[:n])
 	for i, r := range adj {
 		for _, j := range r {
-			rowsOfCol[j] = append(rowsOfCol[j], i)
+			rowsOf[fill[j]] = i
+			fill[j]++
 		}
 	}
 	matchRow := make([]int, n) // row i → column it is matched to (-1 free)
@@ -233,7 +248,7 @@ func maxTransversal(n int, adj [][]int) ([]int, error) {
 	stamp := 0
 	var augment func(j int) bool
 	augment = func(j int) bool {
-		for _, i := range rowsOfCol[j] {
+		for _, i := range rowsOf[colStart[j]:colStart[j+1]] {
 			if visited[i] == stamp {
 				continue
 			}
@@ -273,55 +288,111 @@ func maxTransversal(n int, adj [][]int) ([]int, error) {
 }
 
 // minDegreeOrder computes a fill-reducing elimination order of the
-// symmetrized pattern of crows (Markowitz/minimum-degree on an explicit
-// elimination graph, smallest-index tie-break for determinism). Returned
-// q maps permuted position → node, i.e. node q[k] is eliminated k-th.
+// symmetrized pattern of crows: exact minimum degree on the explicit
+// elimination graph (George & Liu, "The evolution of the minimum degree
+// ordering algorithm", SIAM Review 1989). Returned q maps permuted
+// position → node, i.e. node q[k] is eliminated k-th.
+//
+// The graph lives in int32 adjacency slices holding live neighbours
+// only. Eliminating v turns its neighbourhood into a clique: each live
+// neighbour a drops v from nbr[a] in place, stamping the entries it
+// keeps, then appends the members of nbr[v] it did not already hold.
+// The next pivot comes off a min-heap keyed deg·n + v with lazy
+// invalidation — a popped key whose node is eliminated, or whose degree
+// has since changed, is skipped — so each pick is the live node of
+// least degree, ties to the smallest index, without an O(n) scan.
+//
+// Degrees are exact, never approximate (no AMD-style bounds, no
+// mass elimination): the (degree, index) choice, and with it q, every
+// fill pattern and every supernode schedule built on it, is the one
+// the textbook algorithm makes. The oracle tests pin that.
 func minDegreeOrder(n int, crows [][]int) []int {
-	// Symmetrized adjacency as boolean-set slices.
-	nbr := make([]map[int]struct{}, n)
-	for i := range nbr {
-		nbr[i] = make(map[int]struct{})
-	}
+	// Symmetrized adjacency in one backing array, row a owning
+	// back[off[a]:off[a+1]]; duplicates are dropped with a stamp array.
+	off := make([]int, n+1)
 	for i, r := range crows {
 		for _, j := range r {
 			if i != j {
-				nbr[i][j] = struct{}{}
-				nbr[j][i] = struct{}{}
+				off[i+1]++
+				off[j+1]++
 			}
 		}
 	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	back := make([]int32, off[n])
+	fill := make([]int, n)
+	copy(fill, off[:n])
+	for i, r := range crows {
+		for _, j := range r {
+			if i != j {
+				back[fill[i]] = int32(j)
+				fill[i]++
+				back[fill[j]] = int32(i)
+				fill[j]++
+			}
+		}
+	}
+	stamp := make([]int, n) // stamp[x] == tag: x already in the list being built
+	tag := 0
+	nbr := make([][]int32, n)
+	keys := make(intHeap, n)
+	for a := 0; a < n; a++ {
+		tag++
+		row := back[off[a]:off[a+1]]
+		k := 0
+		for _, x := range row {
+			if stamp[x] != tag {
+				stamp[x] = tag
+				row[k] = x
+				k++
+			}
+		}
+		// Capacity stops at off[a+1]: a growing list reallocates instead
+		// of overwriting its successor's storage.
+		nbr[a] = row[:k:len(row)]
+		keys[a] = k*n + a
+	}
+	keys.init()
+
 	q := make([]int, 0, n)
 	eliminated := make([]bool, n)
 	for len(q) < n {
-		// Pick the live node with minimum degree; ties go to the
-		// smallest index so the ordering is deterministic.
-		best, bestDeg := -1, n+1
-		for v := 0; v < n; v++ {
-			if eliminated[v] {
-				continue
-			}
-			if d := len(nbr[v]); d < bestDeg {
-				best, bestDeg = v, d
-			}
+		key := keys.pop()
+		v := key % n
+		if eliminated[v] || key/n != len(nbr[v]) {
+			continue // stale key
 		}
-		v := best
 		eliminated[v] = true
 		q = append(q, v)
-		// Eliminate v: its live neighbors become a clique.
-		var live []int
-		for u := range nbr[v] {
-			if !eliminated[u] {
-				live = append(live, u)
-				delete(nbr[u], v)
+		nv := nbr[v]
+		for _, a32 := range nv {
+			a := int(a32)
+			tag++
+			stamp[a] = tag
+			row := nbr[a]
+			before := len(row)
+			k := 0
+			for _, x := range row {
+				if int(x) != v {
+					stamp[x] = tag
+					row[k] = x
+					k++
+				}
+			}
+			row = row[:k]
+			for _, b := range nv {
+				if stamp[b] != tag {
+					row = append(row, b)
+				}
+			}
+			nbr[a] = row
+			if len(row) != before {
+				keys.push(len(row)*n + a)
 			}
 		}
-		sort.Ints(live)
-		for ai, a := range live {
-			for _, b := range live[ai+1:] {
-				nbr[a][b] = struct{}{}
-				nbr[b][a] = struct{}{}
-			}
-		}
+		nbr[v] = nil
 	}
 	return q
 }
@@ -329,60 +400,61 @@ func minDegreeOrder(n int, crows [][]int) []int {
 // symbolicFill computes the static L+U pattern of the permuted matrix by
 // row-merge symbolic elimination: row i's final pattern is its A'
 // pattern merged with the U patterns of every row k < i it eliminates
-// against, discovered in ascending order through a small binary heap.
+// against, discovered through a small binary min-heap. Merging U(k)
+// only adds columns right of k, so the heap pops row i's L columns in
+// ascending order: they are written out as they pop. Columns ≥ i, the
+// diagonal included, are collected aside and sorted on their own; the
+// diagonal is the first of them. A refill (the postorder relabeling)
+// reuses the cols storage in place: row i writes at or after its own
+// start and reads only rows k < i, already rewritten.
 func (s *SparseSymbolic) symbolicFill(adj [][]int) {
 	n := s.n
 	s.rowStart = make([]int, n+1)
 	s.diagPos = make([]int, n)
+	s.cols = s.cols[:0]
 	mark := make([]int, n)
 	for i := range mark {
 		mark[i] = -1
 	}
 	var heap intHeap
-	var rowcols []int
+	var upper []int
 	for i := 0; i < n; i++ {
-		rowcols = rowcols[:0]
-		heap = heap[:0]
+		upper = upper[:0]
 		for _, origCol := range adj[s.rowperm[i]] {
 			j := s.invCol[origCol]
 			if mark[j] != i {
 				mark[j] = i
-				rowcols = append(rowcols, j)
 				if j < i {
 					heap.push(j)
+				} else {
+					upper = append(upper, j)
 				}
 			}
 		}
+		s.rowStart[i] = len(s.cols)
 		for len(heap) > 0 {
 			k := heap.pop()
+			s.cols = append(s.cols, k)
 			// Merge U(k): columns right of k's diagonal.
 			for t := s.diagPos[k] + 1; t < s.rowStart[k+1]; t++ {
 				j := s.cols[t]
 				if mark[j] != i {
 					mark[j] = i
-					rowcols = append(rowcols, j)
 					if j < i {
 						heap.push(j)
+					} else {
+						upper = append(upper, j)
 					}
 				}
 			}
 		}
-		sort.Ints(rowcols)
-		s.rowStart[i] = len(s.cols)
-		base := len(s.cols)
-		s.cols = append(s.cols, rowcols...)
-		diag := -1
-		for t, j := range rowcols {
-			if j == i {
-				diag = base + t
-				break
-			}
-		}
+		slices.Sort(upper)
 		// The transversal guarantees a structural diagonal in every row.
-		if diag < 0 {
+		if len(upper) == 0 || upper[0] != i {
 			panic(fmt.Sprintf("numeric: symbolic fill lost diagonal of row %d", i))
 		}
-		s.diagPos[i] = diag
+		s.diagPos[i] = len(s.cols)
+		s.cols = append(s.cols, upper...)
 		s.rowStart[i+1] = len(s.cols)
 	}
 }
@@ -390,6 +462,13 @@ func (s *SparseSymbolic) symbolicFill(adj [][]int) {
 // intHeap is a tiny binary min-heap over ints (no container/heap
 // interface boxing; the symbolic phase runs once per circuit).
 type intHeap []int
+
+// init orders an arbitrary slice into a heap in O(len).
+func (h intHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
 
 func (h *intHeap) push(v int) {
 	*h = append(*h, v)
@@ -411,24 +490,26 @@ func (h *intHeap) pop() int {
 	last := len(a) - 1
 	a[0] = a[last]
 	*h = a[:last]
-	a = *h
-	i := 0
+	h.down(0)
+	return top
+}
+
+func (h intHeap) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < len(a) && a[l] < a[m] {
+		if l < len(h) && h[l] < h[m] {
 			m = l
 		}
-		if r < len(a) && a[r] < a[m] {
+		if r < len(h) && h[r] < h[m] {
 			m = r
 		}
 		if m == i {
-			break
+			return
 		}
-		a[i], a[m] = a[m], a[i]
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return top
 }
 
 // N returns the order of the analyzed system.

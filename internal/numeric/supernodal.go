@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -137,7 +138,7 @@ func (s *SparseSymbolic) buildSupernodes() {
 			}
 		}
 		seg := deps[s.depOff[sn]:]
-		sort.Slice(seg, func(a, b int) bool { return seg[a] < seg[b] })
+		slices.Sort(seg)
 		s.depOff[sn+1] = int32(len(deps))
 		level[sn] = lv
 		if lv > maxLvl {

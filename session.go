@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -263,6 +265,9 @@ func NewSession(cut CUT, opts ...Option) (*Session, error) {
 	if o.workers < 0 {
 		return nil, fmt.Errorf("repro: %w: negative worker count %d", ErrBadConfig, o.workers)
 	}
+	// The dictionary span covers the whole compile: validation, the
+	// engine and dictionary build, and the artifact fingerprint.
+	defer o.tracer.StartSpan("session.dictionary").End()
 	if err := cut.Validate(); err != nil {
 		return nil, err
 	}
@@ -309,8 +314,9 @@ func NewSession(cut CUT, opts ...Option) (*Session, error) {
 	}
 	s.emit(Progress{Stage: StageDictionary, Completed: 0, Total: 1})
 	start := time.Now()
-	defer s.tracer.StartSpan("session.dictionary").End()
+	compile := s.tracer.StartSpan("session.compile")
 	atpg, err := core.New(cut.Circuit, cut.Source, cut.Output, u)
+	compile.End()
 	if err != nil {
 		return nil, err
 	}
@@ -320,25 +326,52 @@ func NewSession(cut CUT, opts ...Option) (*Session, error) {
 	if o.tracer != nil {
 		atpg.Dictionary().Engine().SetTracer(o.tracer)
 	}
+	fp := s.tracer.StartSpan("session.fingerprint")
 	text, err := netlist.Serialize(cut.Circuit)
 	if err != nil {
+		fp.End()
 		return nil, fmt.Errorf("repro: checksum netlist: %w", err)
 	}
-	// The staleness fingerprint covers the whole measurement setup, not
-	// just the topology: the same circuit observed at a different node or
-	// over a different fault universe yields different artifacts. A
-	// double-fault session appends its pair-universe size, so
-	// single-fault artifacts keep their historical checksums and the two
-	// universes never warm-start each other.
-	fingerprint := fmt.Sprintf(
-		"%s\nsource=%s\noutput=%s\ncomponents=%v\ndeviations=%v\n",
-		text, cut.Source, cut.Output, u.Components, u.Deviations)
-	if s.pairs != nil {
-		fingerprint += fmt.Sprintf("doublefaults=%d\n", len(s.pairs))
-	}
-	s.checksum = artifact.Checksum(fingerprint)
+	s.checksum = artifact.Checksum(fingerprint(text, cut, u, s.pairs))
+	fp.End()
 	s.emit(Progress{Stage: StageDictionary, Completed: 1, Total: 1, ElapsedMS: msSince(start)})
 	return s, nil
+}
+
+// fingerprint is the text the artifact checksum covers: the whole
+// measurement setup, not just the topology. The same circuit observed
+// at a different node or over a different fault universe yields
+// different artifacts. A double-fault session appends its pair-universe
+// size, so single-fault artifacts keep their historical checksums and
+// the two universes never warm-start each other. Every saved
+// artifact's checksum depends on these bytes, so they must stay what
+// fmt formats from "%s\nsource=%s\noutput=%s\ncomponents=%v\n
+// deviations=%v\n" plus "doublefaults=%d\n".
+func fingerprint(text string, cut CUT, u *fault.Universe, pairs []fault.Multi) string {
+	var b strings.Builder
+	b.Grow(len(text) + 64 + 16*(len(u.Components)+len(u.Deviations)))
+	b.WriteString(text)
+	b.WriteString("\nsource=")
+	b.WriteString(cut.Source)
+	b.WriteString("\noutput=")
+	b.WriteString(cut.Output)
+	b.WriteString("\ncomponents=[")
+	b.WriteString(strings.Join(u.Components, " "))
+	b.WriteString("]\ndeviations=[")
+	var num [32]byte
+	for i, d := range u.Deviations {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.Write(strconv.AppendFloat(num[:0], d, 'g', -1, 64))
+	}
+	b.WriteString("]\n")
+	if pairs != nil {
+		b.WriteString("doublefaults=")
+		b.WriteString(strconv.Itoa(len(pairs)))
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // msSince is the stage-timing unit used by Progress.ElapsedMS.

@@ -131,3 +131,42 @@ func TestProgressElapsedMS(t *testing.T) {
 		t.Fatal("no optimize events seen")
 	}
 }
+
+// TestSessionCompileSpans pins the cold-session trace: with WithTracer,
+// NewSession records one session.compile span (the engine and
+// dictionary build) and one session.fingerprint span (netlist serialize
+// and checksum), both inside the session.dictionary window that now
+// also covers validation.
+func TestSessionCompileSpans(t *testing.T) {
+	for _, name := range []string{"nf-lowpass-7", "rc-grid-8"} {
+		cut, err := BenchmarkByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := NewTracer()
+		if _, err := NewSession(cut, WithTracer(tr)); err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string][]TraceSpan{}
+		for _, sp := range tr.Spans() {
+			spans[sp.Name] = append(spans[sp.Name], sp)
+		}
+		for _, want := range []string{"session.dictionary", "session.compile", "session.fingerprint"} {
+			if len(spans[want]) != 1 {
+				t.Fatalf("%s: span %q recorded %d times, want 1", name, want, len(spans[want]))
+			}
+		}
+		dict := spans["session.dictionary"][0]
+		const eps = 1e-6 // ms; span offsets are float64 milliseconds
+		for _, inner := range []string{"session.compile", "session.fingerprint"} {
+			sp := spans[inner][0]
+			if sp.StartMS < dict.StartMS-eps || sp.StartMS+sp.DurMS > dict.StartMS+dict.DurMS+eps {
+				t.Fatalf("%s: %s [%g, %g] ms outside session.dictionary [%g, %g] ms", name, inner,
+					sp.StartMS, sp.StartMS+sp.DurMS, dict.StartMS, dict.StartMS+dict.DurMS)
+			}
+		}
+		if c, f := spans["session.compile"][0], spans["session.fingerprint"][0]; c.StartMS+c.DurMS > f.StartMS+eps {
+			t.Fatalf("%s: compile [%g +%g] overlaps fingerprint start %g", name, c.StartMS, c.DurMS, f.StartMS)
+		}
+	}
+}
